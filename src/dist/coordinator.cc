@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <deque>
 #include <list>
-#include <sstream>
 #include <utility>
 
 #include "dist/net.hh"
@@ -166,9 +165,8 @@ Session::handleFrame(Connection &conn, const std::string &payload)
         if (filled[index])
             return true; // Duplicate after a reclaim race: identical
                          // bytes, first landing won.
-        std::istringstream in(body);
         CachedResult value;
-        if (!parseResultFields(in, value)) {
+        if (!parseResultFields(body, value)) {
             warn("dist: malformed result body for point %zu; "
                  "re-queueing",
                  index);

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <thread>
 
+#include "runner/kv_codec.hh"
 #include "sim/logging.hh"
 #include "sim/wallclock.hh"
 
@@ -77,17 +78,20 @@ SharedResultStore::claimPath(std::uint64_t key) const
 std::optional<CachedResult>
 SharedResultStore::load(std::uint64_t key)
 {
-    std::ifstream in(objectPath(key));
-    if (!in) {
+    std::string text;
+    if (!readTextFile(objectPath(key), text)) {
         MutexLock lock(mutex);
         ++stats.misses;
         return std::nullopt;
     }
 
-    std::string header;
-    if (std::getline(in, header) && header == formatHeader) {
+    const std::string_view object(text);
+    const std::size_t nl = object.find('\n');
+    const std::string_view header = object.substr(0, nl);
+    if (header == formatHeader) {
         CachedResult value;
-        if (parseResultFields(in, value)) {
+        if (nl != std::string_view::npos &&
+            parseResultFields(object.substr(nl + 1), value)) {
             MutexLock lock(mutex);
             ++stats.hits;
             return value;
@@ -104,7 +108,7 @@ SharedResultStore::load(std::uint64_t key)
     // schema may have changed underneath them, so trusting one could
     // serve a result for a *different* configuration. Re-simulate and
     // overwrite in v4.
-    const bool legacy = header.rfind("hmcsim-result v", 0) == 0;
+    const bool legacy = header.starts_with("hmcsim-result v");
     if (!legacy)
         warn("result store: ignoring malformed entry %s",
              objectPath(key).c_str());

@@ -1,9 +1,10 @@
 // lint:file(persistence) -- wire-encoded configs must round-trip bit-exactly: %a hexfloat only.
 #include "dist/wire.hh"
 
-#include <cstdio>
-#include <cstdlib>
-#include <sstream>
+#include <string_view>
+#include <utility>
+
+#include "runner/kv_codec.hh"
 
 namespace hmcsim
 {
@@ -13,182 +14,130 @@ namespace
 
 constexpr const char *kHeader = "hmcsim-config v1";
 
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%a", v);
-    return buf;
-}
+/** Every DramTimings field, in wire order. */
+constexpr std::pair<const char *, std::uint64_t DramTimings::*>
+    kTimingFields[] = {
+        {"tRcd", &DramTimings::tRcd},   {"tCl", &DramTimings::tCl},
+        {"tRp", &DramTimings::tRp},     {"tRas", &DramTimings::tRas},
+        {"tWr", &DramTimings::tWr},     {"tCcd", &DramTimings::tCcd},
+        {"tBeat", &DramTimings::tBeat},
+        {"beatBytes", &DramTimings::beatBytes},
+        {"rowBytes", &DramTimings::rowBytes},
+        {"tRefi", &DramTimings::tRefi}, {"tRfc", &DramTimings::tRfc},
+};
 
-/** Percent-escape bytes that would break line or token framing. */
-std::string
-escape(const std::string &s)
-{
-    std::string out;
-    out.reserve(s.size());
-    for (const char c : s) {
-        if (c == '%' || c == '\n' || c == '\r') {
-            char buf[4];
-            std::snprintf(buf, sizeof(buf), "%%%02X",
-                          static_cast<unsigned char>(c));
-            out += buf;
-        } else {
-            out += c;
-        }
-    }
-    return out;
-}
-
+template <typename Codec, typename Timings>
 bool
-unescape(const std::string &s, std::string &out)
+timings(Codec &io, std::string_view prefix, Timings &t)
 {
-    out.clear();
-    out.reserve(s.size());
-    for (std::size_t i = 0; i < s.size(); ++i) {
-        if (s[i] != '%') {
-            out += s[i];
-            continue;
-        }
-        if (i + 2 >= s.size())
+    for (const auto &[name, member] : kTimingFields)
+        if (!io.field({prefix, name}, t.*member))
             return false;
-        char hex[3] = {s[i + 1], s[i + 2], '\0'};
-        char *end = nullptr;
-        const long v = std::strtol(hex, &end, 16);
-        if (!end || *end != '\0')
-            return false;
-        out += static_cast<char>(v);
-        i += 2;
-    }
     return true;
 }
 
-// ---- emit helpers ------------------------------------------------------
-
-void
-putU64(std::ostream &out, const char *key, std::uint64_t v)
-{
-    out << key << ' ' << v << '\n';
-}
-
-void
-putF64(std::ostream &out, const char *key, double v)
-{
-    out << key << ' ' << fmtDouble(v) << '\n';
-}
-
-void
-putStr(std::ostream &out, const char *key, const std::string &v)
-{
-    out << key << ' ' << escape(v) << '\n';
-}
-
-void
-putTimings(std::ostream &out, const std::string &prefix,
-           const DramTimings &t)
-{
-    putU64(out, (prefix + ".tRcd").c_str(), t.tRcd);
-    putU64(out, (prefix + ".tCl").c_str(), t.tCl);
-    putU64(out, (prefix + ".tRp").c_str(), t.tRp);
-    putU64(out, (prefix + ".tRas").c_str(), t.tRas);
-    putU64(out, (prefix + ".tWr").c_str(), t.tWr);
-    putU64(out, (prefix + ".tCcd").c_str(), t.tCcd);
-    putU64(out, (prefix + ".tBeat").c_str(), t.tBeat);
-    putU64(out, (prefix + ".beatBytes").c_str(), t.beatBytes);
-    putU64(out, (prefix + ".rowBytes").c_str(), t.rowBytes);
-    putU64(out, (prefix + ".tRefi").c_str(), t.tRefi);
-    putU64(out, (prefix + ".tRfc").c_str(), t.tRfc);
-}
-
-// ---- parse helpers -----------------------------------------------------
-
+/** MaxBlockSize is the one enum whose values are not 0..last. */
 bool
-takeLine(std::istream &in, const std::string &key, std::string &value)
+validMaxBlock(MaxBlockSize block)
 {
-    std::string line;
-    if (!std::getline(in, line))
-        return false;
-    if (line.rfind(key + " ", 0) != 0)
-        return false;
-    value = line.substr(key.size() + 1);
-    return true;
+    return block == MaxBlockSize::B16 || block == MaxBlockSize::B32 ||
+           block == MaxBlockSize::B64 || block == MaxBlockSize::B128;
 }
 
+/**
+ * The wire field list, in digest order: encodes through a KvWriter
+ * (Config = const ExperimentConfig) or decodes through a KvReader.
+ */
+template <typename Codec, typename Config>
 bool
-takeU64(std::istream &in, const std::string &key, std::uint64_t &out)
+codeConfig(Codec &io, Config &cfg)
 {
-    std::string value;
-    if (!takeLine(in, key, value))
+    auto &p = cfg.pattern;
+    if (!(io.key("pattern.name") && io.escaped(p.name) && io.endLine() &&
+          io.field("pattern.mask", p.mask) &&
+          io.field("pattern.antiMask", p.antiMask) &&
+          io.field("pattern.vaultSpan", p.vaultSpan) &&
+          io.field("pattern.bankSpan", p.bankSpan)))
         return false;
-    std::istringstream fields(value);
-    return static_cast<bool>(fields >> out);
-}
 
-bool
-takeU32(std::istream &in, const std::string &key, unsigned &out)
-{
-    std::uint64_t v = 0;
-    if (!takeU64(in, key, v))
+    if (!(io.field("mix", cfg.mix, RequestMix::Atomic) &&
+          io.field("requestSize", cfg.requestSize) &&
+          io.field("mode", cfg.mode, AddressingMode::Linear) &&
+          io.field("numPorts", cfg.numPorts) &&
+          io.field("warmup", cfg.warmup) &&
+          io.field("measure", cfg.measure) && io.field("seed", cfg.seed)))
         return false;
-    out = static_cast<unsigned>(v);
-    return true;
-}
 
-bool
-takeBool(std::istream &in, const std::string &key, bool &out)
-{
-    std::uint64_t v = 0;
-    if (!takeU64(in, key, v))
+    auto &s = cfg.device.structure;
+    if (!(io.key("structure.name") && io.escaped(s.name) && io.endLine() &&
+          io.field("structure.capacity", s.capacity) &&
+          io.field("structure.numDramLayers", s.numDramLayers) &&
+          io.field("structure.dramLayerGbits", s.dramLayerGbits) &&
+          io.field("structure.numQuadrants", s.numQuadrants) &&
+          io.field("structure.numVaults", s.numVaults) &&
+          io.field("structure.partitionsPerLayer", s.partitionsPerLayer) &&
+          io.field("structure.banksPerPartition", s.banksPerPartition)))
         return false;
-    out = v != 0;
-    return true;
-}
 
-bool
-takeF64(std::istream &in, const std::string &key, double &out)
-{
-    std::string value;
-    if (!takeLine(in, key, value))
+    auto &v = cfg.device.vault;
+    if (!(io.field("vault.numBanks", v.numBanks) &&
+          timings(io, "vault.timings.", v.timings) &&
+          io.field("vault.policy", v.policy, PagePolicy::Open) &&
+          io.field("vault.controllerLatency", v.controllerLatency) &&
+          io.field("vault.commandBeats", v.commandBeats) &&
+          io.field("vault.atomicLatency", v.atomicLatency) &&
+          io.field("vault.refreshEnabled", v.refreshEnabled) &&
+          io.field("vault.refreshMultiplier", v.refreshMultiplier)))
         return false;
-    char *end = nullptr;
-    out = std::strtod(value.c_str(), &end);
-    return end && *end == '\0';
-}
 
-bool
-takeStr(std::istream &in, const std::string &key, std::string &out)
-{
-    std::string value;
-    if (!takeLine(in, key, value))
+    auto &b = v.backend;
+    if (!(io.field("backend.kind", b.kind, BackendKind::Nvm) &&
+          timings(io, "backend.ddrTimings.", b.ddrTimings) &&
+          io.field("backend.ddrPolicy", b.ddrPolicy, PagePolicy::Open) &&
+          io.field("backend.ddrBusBytesPerSecond",
+                   b.ddrBusBytesPerSecond) &&
+          io.field("backend.ddrTFaw", b.ddrTFaw) &&
+          io.field("backend.ddrActivatesPerFaw", b.ddrActivatesPerFaw) &&
+          io.field("backend.nvmReadLatency", b.nvmReadLatency) &&
+          io.field("backend.nvmWriteLatency", b.nvmWriteLatency) &&
+          io.field("backend.nvmWriteAck", b.nvmWriteAck) &&
+          io.field("backend.nvmWriteQueueDepth", b.nvmWriteQueueDepth)))
         return false;
-    return unescape(value, out);
-}
 
-template <typename Enum>
-bool
-takeEnum(std::istream &in, const std::string &key, Enum &out)
-{
-    std::uint64_t v = 0;
-    if (!takeU64(in, key, v))
+    auto &d = cfg.device;
+    if (!(io.field("device.maxBlock", d.maxBlock, MaxBlockSize::B128) &&
+          io.check(validMaxBlock(d.maxBlock)) &&
+          io.field("device.mapping", d.mapping,
+                   MappingScheme::ContiguousVault) &&
+          io.field("device.quadrantLocalLatency",
+                   d.quadrantLocalLatency) &&
+          io.field("device.quadrantHopLatency", d.quadrantHopLatency) &&
+          io.field("device.responsePathLatency", d.responsePathLatency)))
         return false;
-    out = static_cast<Enum>(v);
-    return true;
-}
 
-bool
-takeTimings(std::istream &in, const std::string &prefix, DramTimings &t)
-{
-    return takeU64(in, prefix + ".tRcd", t.tRcd) &&
-           takeU64(in, prefix + ".tCl", t.tCl) &&
-           takeU64(in, prefix + ".tRp", t.tRp) &&
-           takeU64(in, prefix + ".tRas", t.tRas) &&
-           takeU64(in, prefix + ".tWr", t.tWr) &&
-           takeU64(in, prefix + ".tCcd", t.tCcd) &&
-           takeU64(in, prefix + ".tBeat", t.tBeat) &&
-           takeU64(in, prefix + ".beatBytes", t.beatBytes) &&
-           takeU64(in, prefix + ".rowBytes", t.rowBytes) &&
-           takeU64(in, prefix + ".tRefi", t.tRefi) &&
-           takeU64(in, prefix + ".tRfc", t.tRfc);
+    auto &c = cfg.controller;
+    return io.field("controller.fpgaCyclePs", c.fpgaCyclePs) &&
+           io.field("controller.flitsToParallelCycles",
+                    c.flitsToParallelCycles) &&
+           io.field("controller.arbiterCycles", c.arbiterCycles) &&
+           io.field("controller.seqFlowCrcCycles", c.seqFlowCrcCycles) &&
+           io.field("controller.serdesConvertCycles",
+                    c.serdesConvertCycles) &&
+           io.field("controller.txPropagation", c.txPropagation) &&
+           io.field("controller.rxPropagation", c.rxPropagation) &&
+           io.field("controller.rxFixedCycles", c.rxFixedCycles) &&
+           io.field("controller.rxPerFlit", c.rxPerFlit) &&
+           io.field("controller.txBytesPerSecondPerLink",
+                    c.txBytesPerSecondPerLink) &&
+           io.field("controller.rxBytesPerSecondPerLink",
+                    c.rxBytesPerSecondPerLink) &&
+           io.field("controller.txPerPacketOverheadBytes",
+                    c.txPerPacketOverheadBytes) &&
+           io.field("controller.rxPerPacketOverheadBytes",
+                    c.rxPerPacketOverheadBytes) &&
+           io.field("controller.numLinks", c.numLinks) &&
+           io.field("controller.bitErrorRate", c.bitErrorRate) &&
+           io.field("controller.inputBufferFlits", c.inputBufferFlits);
 }
 
 } // namespace
@@ -196,196 +145,21 @@ takeTimings(std::istream &in, const std::string &prefix, DramTimings &t)
 std::string
 encodeExperimentConfig(const ExperimentConfig &cfg)
 {
-    std::ostringstream out;
-    out << kHeader << '\n';
-
-    putStr(out, "pattern.name", cfg.pattern.name);
-    putU64(out, "pattern.mask", cfg.pattern.mask);
-    putU64(out, "pattern.antiMask", cfg.pattern.antiMask);
-    putU64(out, "pattern.vaultSpan", cfg.pattern.vaultSpan);
-    putU64(out, "pattern.bankSpan", cfg.pattern.bankSpan);
-
-    putU64(out, "mix", static_cast<std::uint64_t>(cfg.mix));
-    putU64(out, "requestSize", cfg.requestSize);
-    putU64(out, "mode", static_cast<std::uint64_t>(cfg.mode));
-    putU64(out, "numPorts", cfg.numPorts);
-    putU64(out, "warmup", cfg.warmup);
-    putU64(out, "measure", cfg.measure);
-    putU64(out, "seed", cfg.seed);
-
-    const HmcConfig &s = cfg.device.structure;
-    putStr(out, "structure.name", s.name);
-    putU64(out, "structure.capacity", s.capacity);
-    putU64(out, "structure.numDramLayers", s.numDramLayers);
-    putU64(out, "structure.dramLayerGbits", s.dramLayerGbits);
-    putU64(out, "structure.numQuadrants", s.numQuadrants);
-    putU64(out, "structure.numVaults", s.numVaults);
-    putU64(out, "structure.partitionsPerLayer", s.partitionsPerLayer);
-    putU64(out, "structure.banksPerPartition", s.banksPerPartition);
-
-    const VaultConfig &v = cfg.device.vault;
-    putU64(out, "vault.numBanks", v.numBanks);
-    putTimings(out, "vault.timings", v.timings);
-    putU64(out, "vault.policy", static_cast<std::uint64_t>(v.policy));
-    putU64(out, "vault.controllerLatency", v.controllerLatency);
-    putU64(out, "vault.commandBeats", v.commandBeats);
-    putU64(out, "vault.atomicLatency", v.atomicLatency);
-    putU64(out, "vault.refreshEnabled", v.refreshEnabled ? 1 : 0);
-    putF64(out, "vault.refreshMultiplier", v.refreshMultiplier);
-
-    const MemoryBackendConfig &b = v.backend;
-    putU64(out, "backend.kind", static_cast<std::uint64_t>(b.kind));
-    putTimings(out, "backend.ddrTimings", b.ddrTimings);
-    putU64(out, "backend.ddrPolicy",
-           static_cast<std::uint64_t>(b.ddrPolicy));
-    putF64(out, "backend.ddrBusBytesPerSecond", b.ddrBusBytesPerSecond);
-    putU64(out, "backend.ddrTFaw", b.ddrTFaw);
-    putU64(out, "backend.ddrActivatesPerFaw", b.ddrActivatesPerFaw);
-    putU64(out, "backend.nvmReadLatency", b.nvmReadLatency);
-    putU64(out, "backend.nvmWriteLatency", b.nvmWriteLatency);
-    putU64(out, "backend.nvmWriteAck", b.nvmWriteAck);
-    putU64(out, "backend.nvmWriteQueueDepth", b.nvmWriteQueueDepth);
-
-    putU64(out, "device.maxBlock",
-           static_cast<std::uint64_t>(cfg.device.maxBlock));
-    putU64(out, "device.mapping",
-           static_cast<std::uint64_t>(cfg.device.mapping));
-    putU64(out, "device.quadrantLocalLatency",
-           cfg.device.quadrantLocalLatency);
-    putU64(out, "device.quadrantHopLatency",
-           cfg.device.quadrantHopLatency);
-    putU64(out, "device.responsePathLatency",
-           cfg.device.responsePathLatency);
-
-    const ControllerCalibration &c = cfg.controller;
-    putU64(out, "controller.fpgaCyclePs", c.fpgaCyclePs);
-    putU64(out, "controller.flitsToParallelCycles",
-           c.flitsToParallelCycles);
-    putU64(out, "controller.arbiterCycles", c.arbiterCycles);
-    putU64(out, "controller.seqFlowCrcCycles", c.seqFlowCrcCycles);
-    putU64(out, "controller.serdesConvertCycles",
-           c.serdesConvertCycles);
-    putU64(out, "controller.txPropagation", c.txPropagation);
-    putU64(out, "controller.rxPropagation", c.rxPropagation);
-    putU64(out, "controller.rxFixedCycles", c.rxFixedCycles);
-    putU64(out, "controller.rxPerFlit", c.rxPerFlit);
-    putF64(out, "controller.txBytesPerSecondPerLink",
-           c.txBytesPerSecondPerLink);
-    putF64(out, "controller.rxBytesPerSecondPerLink",
-           c.rxBytesPerSecondPerLink);
-    putU64(out, "controller.txPerPacketOverheadBytes",
-           c.txPerPacketOverheadBytes);
-    putU64(out, "controller.rxPerPacketOverheadBytes",
-           c.rxPerPacketOverheadBytes);
-    putU64(out, "controller.numLinks", c.numLinks);
-    putF64(out, "controller.bitErrorRate", c.bitErrorRate);
-    putU64(out, "controller.inputBufferFlits", c.inputBufferFlits);
-
-    return out.str();
+    std::string text;
+    text.reserve(2560); // An encoded config is ~2.3 kB.
+    KvWriter out(text);
+    out.line(kHeader);
+    codeConfig(out, cfg);
+    return text;
 }
 
 bool
 decodeExperimentConfig(const std::string &text, ExperimentConfig &out)
 {
-    std::istringstream in(text);
-    std::string header;
-    if (!std::getline(in, header) || header != kHeader)
-        return false;
-
+    KvReader in(text);
     ExperimentConfig cfg;
-    if (!takeStr(in, "pattern.name", cfg.pattern.name) ||
-        !takeU64(in, "pattern.mask", cfg.pattern.mask) ||
-        !takeU64(in, "pattern.antiMask", cfg.pattern.antiMask) ||
-        !takeU32(in, "pattern.vaultSpan", cfg.pattern.vaultSpan) ||
-        !takeU32(in, "pattern.bankSpan", cfg.pattern.bankSpan))
+    if (!in.line(kHeader) || !codeConfig(in, cfg) || !in.atEnd())
         return false;
-
-    if (!takeEnum(in, "mix", cfg.mix) ||
-        !takeU64(in, "requestSize", cfg.requestSize) ||
-        !takeEnum(in, "mode", cfg.mode) ||
-        !takeU32(in, "numPorts", cfg.numPorts) ||
-        !takeU64(in, "warmup", cfg.warmup) ||
-        !takeU64(in, "measure", cfg.measure) ||
-        !takeU64(in, "seed", cfg.seed))
-        return false;
-
-    HmcConfig &s = cfg.device.structure;
-    if (!takeStr(in, "structure.name", s.name) ||
-        !takeU64(in, "structure.capacity", s.capacity) ||
-        !takeU32(in, "structure.numDramLayers", s.numDramLayers) ||
-        !takeU32(in, "structure.dramLayerGbits", s.dramLayerGbits) ||
-        !takeU32(in, "structure.numQuadrants", s.numQuadrants) ||
-        !takeU32(in, "structure.numVaults", s.numVaults) ||
-        !takeU32(in, "structure.partitionsPerLayer",
-                 s.partitionsPerLayer) ||
-        !takeU32(in, "structure.banksPerPartition",
-                 s.banksPerPartition))
-        return false;
-
-    VaultConfig &v = cfg.device.vault;
-    if (!takeU32(in, "vault.numBanks", v.numBanks) ||
-        !takeTimings(in, "vault.timings", v.timings) ||
-        !takeEnum(in, "vault.policy", v.policy) ||
-        !takeU64(in, "vault.controllerLatency", v.controllerLatency) ||
-        !takeU32(in, "vault.commandBeats", v.commandBeats) ||
-        !takeU64(in, "vault.atomicLatency", v.atomicLatency) ||
-        !takeBool(in, "vault.refreshEnabled", v.refreshEnabled) ||
-        !takeF64(in, "vault.refreshMultiplier", v.refreshMultiplier))
-        return false;
-
-    MemoryBackendConfig &b = v.backend;
-    if (!takeEnum(in, "backend.kind", b.kind) ||
-        !takeTimings(in, "backend.ddrTimings", b.ddrTimings) ||
-        !takeEnum(in, "backend.ddrPolicy", b.ddrPolicy) ||
-        !takeF64(in, "backend.ddrBusBytesPerSecond",
-                 b.ddrBusBytesPerSecond) ||
-        !takeU64(in, "backend.ddrTFaw", b.ddrTFaw) ||
-        !takeU32(in, "backend.ddrActivatesPerFaw",
-                 b.ddrActivatesPerFaw) ||
-        !takeU64(in, "backend.nvmReadLatency", b.nvmReadLatency) ||
-        !takeU64(in, "backend.nvmWriteLatency", b.nvmWriteLatency) ||
-        !takeU64(in, "backend.nvmWriteAck", b.nvmWriteAck) ||
-        !takeU32(in, "backend.nvmWriteQueueDepth",
-                 b.nvmWriteQueueDepth))
-        return false;
-
-    if (!takeEnum(in, "device.maxBlock", cfg.device.maxBlock) ||
-        !takeEnum(in, "device.mapping", cfg.device.mapping) ||
-        !takeU64(in, "device.quadrantLocalLatency",
-                 cfg.device.quadrantLocalLatency) ||
-        !takeU64(in, "device.quadrantHopLatency",
-                 cfg.device.quadrantHopLatency) ||
-        !takeU64(in, "device.responsePathLatency",
-                 cfg.device.responsePathLatency))
-        return false;
-
-    ControllerCalibration &c = cfg.controller;
-    if (!takeU64(in, "controller.fpgaCyclePs", c.fpgaCyclePs) ||
-        !takeU32(in, "controller.flitsToParallelCycles",
-                 c.flitsToParallelCycles) ||
-        !takeU32(in, "controller.arbiterCycles", c.arbiterCycles) ||
-        !takeU32(in, "controller.seqFlowCrcCycles",
-                 c.seqFlowCrcCycles) ||
-        !takeU32(in, "controller.serdesConvertCycles",
-                 c.serdesConvertCycles) ||
-        !takeU64(in, "controller.txPropagation", c.txPropagation) ||
-        !takeU64(in, "controller.rxPropagation", c.rxPropagation) ||
-        !takeU32(in, "controller.rxFixedCycles", c.rxFixedCycles) ||
-        !takeU64(in, "controller.rxPerFlit", c.rxPerFlit) ||
-        !takeF64(in, "controller.txBytesPerSecondPerLink",
-                 c.txBytesPerSecondPerLink) ||
-        !takeF64(in, "controller.rxBytesPerSecondPerLink",
-                 c.rxBytesPerSecondPerLink) ||
-        !takeU64(in, "controller.txPerPacketOverheadBytes",
-                 c.txPerPacketOverheadBytes) ||
-        !takeU64(in, "controller.rxPerPacketOverheadBytes",
-                 c.rxPerPacketOverheadBytes) ||
-        !takeU32(in, "controller.numLinks", c.numLinks) ||
-        !takeF64(in, "controller.bitErrorRate", c.bitErrorRate) ||
-        !takeU32(in, "controller.inputBufferFlits",
-                 c.inputBufferFlits))
-        return false;
-
     out = std::move(cfg);
     return true;
 }

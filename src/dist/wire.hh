@@ -34,8 +34,10 @@ std::string encodeExperimentConfig(const ExperimentConfig &cfg);
 
 /**
  * Parse encodeExperimentConfig() output into @p out. Strict: fields
- * must appear in canonical order with a recognized header. Returns
- * false on any malformed or missing field.
+ * must appear in canonical order with a recognized header, each value
+ * in its canonical form and range (runner/kv_codec.hh), and nothing
+ * may follow the last field. Returns false on any malformed, missing
+ * or extra field, leaving @p out unchanged.
  */
 bool decodeExperimentConfig(const std::string &text,
                             ExperimentConfig &out);

@@ -62,8 +62,8 @@ struct ExperimentConfig : CommonExperimentConfig
 struct MeasurementResult
 {
     std::string patternName;
-    RequestMix mix;
-    Bytes requestSize;
+    RequestMix mix = RequestMix::ReadOnly;
+    Bytes requestSize = 0;
     /** Raw bandwidth: request+response bytes incl. header/tail, GB/s
      *  (the paper's Figs. 6-10, 13, 16-18 y/x axes). */
     double rawGBps = 0.0;

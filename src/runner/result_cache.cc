@@ -4,11 +4,10 @@
 #include <unistd.h>
 
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
+#include "runner/kv_codec.hh"
 #include "sim/logging.hh"
 
 namespace hmcsim
@@ -17,138 +16,74 @@ namespace hmcsim
 namespace
 {
 
-/** Lossless double -> text: C99 hex float round-trips every bit. */
-std::string
-fmtDouble(double v)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%a", v);
-    return buf;
-}
-
-void
-putStats(std::ostream &out, const char *key, const SampleStats &s)
-{
-    const SampleStats::Raw raw = s.raw();
-    out << key << ' ' << raw.count << ' ' << fmtDouble(raw.sum) << ' '
-        << fmtDouble(raw.min) << ' ' << fmtDouble(raw.max) << ' '
-        << fmtDouble(raw.welfordMean) << ' '
-        << fmtDouble(raw.welfordM2) << '\n';
-}
-
-/** Expect "<key> ..." on the next line; return the value part. */
+template <typename Codec, typename Stats>
 bool
-takeLine(std::istream &in, const std::string &key, std::string &value)
+codeStats(Codec &io, const char *key, Stats &s)
 {
-    std::string line;
-    if (!std::getline(in, line))
+    SampleStats::Raw raw = s.raw();
+    if (!(io.key(key) && io.value(raw.count) && io.value(raw.sum) &&
+          io.value(raw.min) && io.value(raw.max) &&
+          io.value(raw.welfordMean) && io.value(raw.welfordM2) &&
+          io.endLine()))
         return false;
-    if (line.rfind(key + " ", 0) != 0)
-        return false;
-    value = line.substr(key.size() + 1);
+    if constexpr (!std::is_const_v<Stats>)
+        s = SampleStats::fromRaw(raw);
     return true;
 }
 
+/**
+ * The result field list: serializes through a KvWriter (Value =
+ * const CachedResult) or parses through a KvReader.
+ */
+template <typename Codec, typename Value>
 bool
-parseDouble(std::istringstream &in, double &out)
+codeResult(Codec &io, Value &value)
 {
-    std::string token;
-    if (!(in >> token))
-        return false;
-    char *end = nullptr;
-    out = std::strtod(token.c_str(), &end);
-    return end && *end == '\0';
+    auto &m = value.result;
+    return io.key("patternName") && io.text(m.patternName) &&
+           io.endLine() &&
+           io.field("mix", m.mix, RequestMix::Atomic) &&
+           io.field("requestSize", m.requestSize) &&
+           io.field("rawGBps", m.rawGBps) && io.field("mrps", m.mrps) &&
+           io.field("readMrps", m.readMrps) &&
+           io.field("writeMrps", m.writeMrps) &&
+           io.field("readPayloadGBps", m.readPayloadGBps) &&
+           io.field("writePayloadGBps", m.writePayloadGBps) &&
+           codeStats(io, "readLatencyNs", m.readLatencyNs) &&
+           codeStats(io, "writeLatencyNs", m.writeLatencyNs) &&
+           io.field("readLatencyP50Ns", m.readLatencyP50Ns) &&
+           io.field("readLatencyP99Ns", m.readLatencyP99Ns) &&
+           io.field("readLatencyP999Ns", m.readLatencyP999Ns) &&
+           io.field("statDigest", value.statDigest);
 }
 
-bool
-takeDouble(std::istream &in, const std::string &key, double &out)
-{
-    std::string value;
-    if (!takeLine(in, key, value))
-        return false;
-    std::istringstream fields(value);
-    return parseDouble(fields, out);
-}
-
-bool
-takeU64(std::istream &in, const std::string &key, std::uint64_t &out)
-{
-    std::string value;
-    if (!takeLine(in, key, value))
-        return false;
-    std::istringstream fields(value);
-    return static_cast<bool>(fields >> out);
-}
-
-bool
-takeStats(std::istream &in, const std::string &key, SampleStats &out)
-{
-    std::string value;
-    if (!takeLine(in, key, value))
-        return false;
-    std::istringstream fields(value);
-    SampleStats::Raw raw;
-    if (!(fields >> raw.count))
-        return false;
-    if (!parseDouble(fields, raw.sum) || !parseDouble(fields, raw.min) ||
-        !parseDouble(fields, raw.max) ||
-        !parseDouble(fields, raw.welfordMean) ||
-        !parseDouble(fields, raw.welfordM2)) {
-        return false;
-    }
-    out = SampleStats::fromRaw(raw);
-    return true;
-}
+/** v3 extends the config digest with the vault-backend id and its
+ *  parameters ("hmcsim.experiment.v2"); bumping the header turns
+ *  every pre-backend v2 entry on disk into a clean cache miss
+ *  (re-simulated, then rewritten in v3). v2 added readLatencyP999Ns
+ *  over v1. The distributed shared store writes the same field body
+ *  under a v4 header (dist/store.cc). */
+constexpr std::string_view kHeader = "hmcsim-result v3";
 
 } // namespace
 
 std::string
 serializeResultFields(const CachedResult &value)
 {
-    const MeasurementResult &m = value.result;
-    std::ostringstream out;
-    out << "patternName " << m.patternName << '\n';
-    out << "mix " << static_cast<std::uint64_t>(m.mix) << '\n';
-    out << "requestSize " << m.requestSize << '\n';
-    out << "rawGBps " << fmtDouble(m.rawGBps) << '\n';
-    out << "mrps " << fmtDouble(m.mrps) << '\n';
-    out << "readMrps " << fmtDouble(m.readMrps) << '\n';
-    out << "writeMrps " << fmtDouble(m.writeMrps) << '\n';
-    out << "readPayloadGBps " << fmtDouble(m.readPayloadGBps) << '\n';
-    out << "writePayloadGBps " << fmtDouble(m.writePayloadGBps) << '\n';
-    putStats(out, "readLatencyNs", m.readLatencyNs);
-    putStats(out, "writeLatencyNs", m.writeLatencyNs);
-    out << "readLatencyP50Ns " << fmtDouble(m.readLatencyP50Ns) << '\n';
-    out << "readLatencyP99Ns " << fmtDouble(m.readLatencyP99Ns) << '\n';
-    out << "readLatencyP999Ns " << fmtDouble(m.readLatencyP999Ns)
-        << '\n';
-    out << "statDigest " << value.statDigest << '\n';
-    return out.str();
+    std::string text;
+    KvWriter out(text);
+    codeResult(out, value);
+    return text;
 }
 
 bool
-parseResultFields(std::istream &in, CachedResult &out)
+parseResultFields(std::string_view text, CachedResult &out)
 {
-    MeasurementResult &m = out.result;
-    std::uint64_t mix = 0;
-    if (!takeLine(in, "patternName", m.patternName) ||
-        !takeU64(in, "mix", mix) ||
-        !takeU64(in, "requestSize", m.requestSize) ||
-        !takeDouble(in, "rawGBps", m.rawGBps) ||
-        !takeDouble(in, "mrps", m.mrps) ||
-        !takeDouble(in, "readMrps", m.readMrps) ||
-        !takeDouble(in, "writeMrps", m.writeMrps) ||
-        !takeDouble(in, "readPayloadGBps", m.readPayloadGBps) ||
-        !takeDouble(in, "writePayloadGBps", m.writePayloadGBps) ||
-        !takeStats(in, "readLatencyNs", m.readLatencyNs) ||
-        !takeStats(in, "writeLatencyNs", m.writeLatencyNs) ||
-        !takeDouble(in, "readLatencyP50Ns", m.readLatencyP50Ns) ||
-        !takeDouble(in, "readLatencyP99Ns", m.readLatencyP99Ns) ||
-        !takeDouble(in, "readLatencyP999Ns", m.readLatencyP999Ns) ||
-        !takeU64(in, "statDigest", out.statDigest)) {
+    KvReader in(text);
+    CachedResult value;
+    if (!codeResult(in, value) || !in.atEnd())
         return false;
-    }
-    m.mix = static_cast<RequestMix>(mix);
+    out = std::move(value);
     return true;
 }
 
@@ -193,12 +128,10 @@ ResultCache::insertLocked(std::uint64_t key, const CachedResult &value)
 std::optional<CachedResult>
 ResultCache::loadFromDir(std::uint64_t key)
 {
-    std::ifstream in(pathFor(key));
-    if (!in)
+    std::string text;
+    if (!readTextFile(pathFor(key), text))
         return std::nullopt;
-    std::ostringstream text;
-    text << in.rdbuf();
-    if (auto value = deserialize(text.str()))
+    if (auto value = deserialize(text))
         return value;
     warn("result cache: ignoring malformed entry %s",
          pathFor(key).c_str());
@@ -321,28 +254,19 @@ ResultCache::size() const
 std::string
 ResultCache::serialize(const CachedResult &value)
 {
-    std::ostringstream out;
-    // v3 extends the config digest with the vault-backend id and its
-    // parameters ("hmcsim.experiment.v2"); bumping the header turns
-    // every pre-backend v2 entry on disk into a clean cache miss
-    // (re-simulated, then rewritten in v3). v2 added
-    // readLatencyP999Ns over v1. The distributed shared store writes
-    // the same field body under a v4 header (dist/store.cc).
-    out << "hmcsim-result v3\n";
-    out << serializeResultFields(value);
-    return out.str();
+    std::string text;
+    KvWriter out(text);
+    out.line(kHeader);
+    codeResult(out, value);
+    return text;
 }
 
 std::optional<CachedResult>
 ResultCache::deserialize(const std::string &text)
 {
-    std::istringstream in(text);
-    std::string header;
-    if (!std::getline(in, header) || header != "hmcsim-result v3")
-        return std::nullopt;
-
+    KvReader in(text);
     CachedResult value;
-    if (!parseResultFields(in, value))
+    if (!in.line(kHeader) || !codeResult(in, value) || !in.atEnd())
         return std::nullopt;
     return value;
 }

@@ -29,10 +29,10 @@
 #define HMCSIM_RUNNER_RESULT_CACHE_HH
 
 #include <cstdint>
-#include <iosfwd>
 #include <list>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "hmcsim/annotations.hh"
@@ -57,9 +57,10 @@ struct CachedResult
  */
 std::string serializeResultFields(const CachedResult &value);
 
-/** Parse serializeResultFields() output from @p in (the header line
- *  already consumed); false on malformed input. */
-bool parseResultFields(std::istream &in, CachedResult &out);
+/** Parse serializeResultFields() output: @p text is an object's
+ *  text after its header line, and must hold every field and nothing
+ *  else. False on malformed input (@p out is then left unchanged). */
+bool parseResultFields(std::string_view text, CachedResult &out);
 
 /**
  * A persistence tier below ResultCache's in-memory LRU. load() and

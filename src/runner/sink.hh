@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <ostream>
+#include <string>
 
 #include "host/experiment.hh"
 
@@ -46,6 +47,14 @@ struct SweepPointResult
      *  canonical order and wrap with writeChromeTrace(). */
     std::string traceJson;
 };
+
+/**
+ * Append @p v as printf("%.17g") prints it: 17 significant digits,
+ * which round-trip every double (but are not its shortest form --
+ * 0.1 prints as 0.10000000000000001). Built on std::to_chars, which
+ * the standard defines to match that printf conversion.
+ */
+void appendDouble17(std::string &out, double v);
 
 /** Destination for sweep results. */
 class ResultSink
@@ -90,6 +99,8 @@ class JsonLinesSink : public ResultSink
     std::ostream &out;
     bool includeTiming;
     bool streaming = false;
+    /** Reused per write: each line reaches the stream in one write. */
+    std::string line;
 };
 
 /** CSV sink: header row, then one flat row per point. */
@@ -108,6 +119,8 @@ class CsvSink : public ResultSink
     std::ostream &out;
     bool includeTiming;
     bool wroteHeader = false;
+    /** Reused per write: each row reaches the stream in one write. */
+    std::string line;
 };
 
 } // namespace hmcsim

@@ -103,6 +103,140 @@ TEST(WireCodec, RejectsTruncationAndGarbage)
     EXPECT_FALSE(decodeExperimentConfig("", out));
 }
 
+/** @p blob with the value of its "key ..." line replaced. */
+std::string
+withField(const std::string &blob, const std::string &key,
+          const std::string &value)
+{
+    const std::size_t at = blob.find("\n" + key + " ");
+    EXPECT_NE(at, std::string::npos) << key;
+    const std::size_t start = at + 1 + key.size() + 1;
+    const std::size_t end = blob.find('\n', start);
+    return blob.substr(0, start) + value + blob.substr(end);
+}
+
+TEST(WireCodec, RejectsMalformedFields)
+{
+    const std::string blob = encodeExperimentConfig(wireTestConfig());
+    ExperimentConfig out;
+    // The unmodified blob decodes, so each rejection below is the
+    // field's own fault.
+    ASSERT_TRUE(decodeExperimentConfig(blob, out));
+    const std::pair<const char *, const char *> cases[] = {
+        {"numPorts", "9junk"},      // trailing junk after the digits
+        {"numPorts", "-1"},         // a sign on an unsigned field
+        {"numPorts", "4294967305"}, // 2^32 + 9: overflows unsigned
+        {"numPorts", ""},           // no digits at all
+        {"seed", "+7"},             // a plus sign
+        {"seed", " 7"},             // a second separating space
+        {"seed", "18446744073709551616"}, // 2^64
+        {"mix", "99"},              // not a RequestMix
+        {"device.maxBlock", "100"}, // not a MaxBlockSize
+        {"vault.refreshEnabled", "2"}, // a bool is 0 or 1
+        {"vault.refreshMultiplier", "+0x1p+0"},
+        {"vault.refreshMultiplier", "0x1p+0x"},
+        {"pattern.name", "a%+Fb"},  // escape digits must be hex
+        {"pattern.name", "a%4"},    // escape cut short
+    };
+    for (const auto &[key, value] : cases)
+        EXPECT_FALSE(
+            decodeExperimentConfig(withField(blob, key, value), out))
+            << key << " '" << value << "'";
+    // Nothing may follow the last field, and it must end its line.
+    EXPECT_FALSE(decodeExperimentConfig(blob + "extra 1\n", out));
+    EXPECT_FALSE(
+        decodeExperimentConfig(blob.substr(0, blob.size() - 1), out));
+}
+
+TEST(WireCodec, EncodingIsByteIdenticalToTheV1Format)
+{
+    // Recorded from the stream-based codec this one replaced: the
+    // wire format is an interface between coordinator and workers of
+    // different builds, so its bytes must never drift.
+    const std::string expected =
+        "hmcsim-config v1\n"
+        "pattern.name wire 100%25 tricky%0Aname\n"
+        "pattern.mask 128\n"
+        "pattern.antiMask 0\n"
+        "pattern.vaultSpan 16\n"
+        "pattern.bankSpan 256\n"
+        "mix 3\n"
+        "requestSize 48\n"
+        "mode 1\n"
+        "numPorts 3\n"
+        "warmup 7000000\n"
+        "measure 33000000\n"
+        "seed 81985529216486895\n"
+        "structure.name HMC 1.1 (Gen2) 4GB\n"
+        "structure.capacity 4294967296\n"
+        "structure.numDramLayers 8\n"
+        "structure.dramLayerGbits 4\n"
+        "structure.numQuadrants 4\n"
+        "structure.numVaults 16\n"
+        "structure.partitionsPerLayer 16\n"
+        "structure.banksPerPartition 2\n"
+        "vault.numBanks 16\n"
+        "vault.timings.tRcd 13001\n"
+        "vault.timings.tCl 13000\n"
+        "vault.timings.tRp 13000\n"
+        "vault.timings.tRas 27000\n"
+        "vault.timings.tWr 14000\n"
+        "vault.timings.tCcd 5000\n"
+        "vault.timings.tBeat 3200\n"
+        "vault.timings.beatBytes 32\n"
+        "vault.timings.rowBytes 256\n"
+        "vault.timings.tRefi 7800000\n"
+        "vault.timings.tRfc 160000\n"
+        "vault.policy 0\n"
+        "vault.controllerLatency 16000\n"
+        "vault.commandBeats 1\n"
+        "vault.atomicLatency 4000\n"
+        "vault.refreshEnabled 0\n"
+        "vault.refreshMultiplier 0x1p+0\n"
+        "backend.kind 2\n"
+        "backend.ddrTimings.tRcd 13750\n"
+        "backend.ddrTimings.tCl 13750\n"
+        "backend.ddrTimings.tRp 13750\n"
+        "backend.ddrTimings.tRas 32000\n"
+        "backend.ddrTimings.tWr 15000\n"
+        "backend.ddrTimings.tCcd 5000\n"
+        "backend.ddrTimings.tBeat 1670\n"
+        "backend.ddrTimings.beatBytes 32\n"
+        "backend.ddrTimings.rowBytes 1024\n"
+        "backend.ddrTimings.tRefi 7800000\n"
+        "backend.ddrTimings.tRfc 160000\n"
+        "backend.ddrPolicy 1\n"
+        "backend.ddrBusBytesPerSecond 0x1.1e1a3p+34\n"
+        "backend.ddrTFaw 30000\n"
+        "backend.ddrActivatesPerFaw 4\n"
+        "backend.nvmReadLatency 120000\n"
+        "backend.nvmWriteLatency 400003\n"
+        "backend.nvmWriteAck 8000\n"
+        "backend.nvmWriteQueueDepth 8\n"
+        "device.maxBlock 128\n"
+        "device.mapping 1\n"
+        "device.quadrantLocalLatency 12000\n"
+        "device.quadrantHopLatency 8000\n"
+        "device.responsePathLatency 45000\n"
+        "controller.fpgaCyclePs 5333\n"
+        "controller.flitsToParallelCycles 10\n"
+        "controller.arbiterCycles 4\n"
+        "controller.seqFlowCrcCycles 10\n"
+        "controller.serdesConvertCycles 10\n"
+        "controller.txPropagation 85000\n"
+        "controller.rxPropagation 40000\n"
+        "controller.rxFixedCycles 30\n"
+        "controller.rxPerFlit 5000\n"
+        "controller.txBytesPerSecondPerLink 0x1.bf08ebp+32\n"
+        "controller.rxBytesPerSecondPerLink 0x1.38eca48p+33\n"
+        "controller.txPerPacketOverheadBytes 8\n"
+        "controller.rxPerPacketOverheadBytes 24\n"
+        "controller.numLinks 2\n"
+        "controller.bitErrorRate 0x1.19799812dea11p-40\n"
+        "controller.inputBufferFlits 0\n";
+    EXPECT_EQ(encodeExperimentConfig(wireTestConfig()), expected);
+}
+
 // ---------------------------------------------------------------------
 // Frames and protocol verbs
 // ---------------------------------------------------------------------
@@ -271,6 +405,43 @@ TEST(SharedStore, LegacyAndCorruptEntriesAreCleanMisses)
     // A rewritten entry is served normally afterwards.
     store.save(3, storedResult(9.0));
     EXPECT_TRUE(store.load(3).has_value());
+    std::filesystem::remove_all(dir);
+}
+
+TEST(SharedStore, MalformedFieldsCountAsCorrupt)
+{
+    const std::filesystem::path dir =
+        freshDir("hmcsim_test_store_fields");
+    SharedResultStore store({dir.string(), 300});
+    store.save(1, storedResult(5.0));
+    const std::string body = serializeResultFields(storedResult(5.0));
+    CachedResult parsed;
+    ASSERT_TRUE(parseResultFields(body, parsed));
+
+    const auto plantWith = [&](std::uint64_t key, const std::string &from,
+                               const std::string &to) {
+        std::string text = body;
+        const std::size_t at = text.find(from);
+        EXPECT_NE(at, std::string::npos) << from;
+        text.replace(at, from.size(), to);
+        EXPECT_FALSE(parseResultFields(text, parsed)) << to;
+        const std::filesystem::path path = store.objectPath(key);
+        std::filesystem::create_directories(path.parent_path());
+        std::ofstream(path) << SharedResultStore::formatHeader << '\n'
+                            << text;
+    };
+    plantWith(2, "statDigest 18369614218089748088\n",
+              "statDigest 42trailing\n");
+    plantWith(3, "mix 0\n", "mix 77\n");
+    plantWith(4, "requestSize 64\n", "requestSize -64\n");
+
+    EXPECT_TRUE(store.load(1).has_value());
+    for (std::uint64_t key = 2; key <= 4; ++key)
+        EXPECT_FALSE(store.load(key).has_value()) << key;
+    const auto counters = store.counters();
+    EXPECT_EQ(counters.corrupt, 3u);
+    EXPECT_EQ(counters.legacy, 0u);
+    EXPECT_EQ(counters.hits, 1u);
     std::filesystem::remove_all(dir);
 }
 

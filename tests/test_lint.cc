@@ -91,9 +91,17 @@ TEST(LintRules, HotCheckFiresButDcheckDoesNot)
 
 TEST(LintRules, HexfloatFiresOnDecimalButNotHexFormat)
 {
-    // Line 10 formats with %a and must stay silent.
+    // Line 10 formats with %a, line 22 with chars_format::hex, and
+    // lines 13-15 and 26 only mention the manipulators in a comment
+    // or a literal: all must stay silent.
     EXPECT_EQ(machineOutput("hexfloat.cc"),
-              expect("hexfloat.cc", 9, "hexfloat-persistence"));
+              expect("hexfloat.cc", 9, "hexfloat-persistence") +
+                  expect("hexfloat.cc", 19, "hexfloat-persistence") +
+                  expect("hexfloat.cc", 20, "hexfloat-persistence") +
+                  expect("hexfloat.cc", 21, "hexfloat-persistence") +
+                  expect("hexfloat.cc", 23, "hexfloat-persistence") +
+                  expect("hexfloat.cc", 24, "hexfloat-persistence") +
+                  expect("hexfloat.cc", 25, "hexfloat-persistence"));
 }
 
 TEST(LintRules, MutexUnguardedFiresOnlyOnUnannotatedMutex)

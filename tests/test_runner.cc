@@ -11,8 +11,10 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <limits>
 #include <set>
 #include <stdexcept>
 
@@ -21,6 +23,7 @@
 #include "runner/sink.hh"
 #include "runner/sweep.hh"
 #include "runner/thread_pool.hh"
+#include "sim/random.hh"
 
 namespace
 {
@@ -297,6 +300,44 @@ TEST(ResultCache, SerializationRoundTripsBitExactly)
         ResultCache::deserialize("hmcsim-result v2\nnope").has_value());
 }
 
+TEST(ResultCache, FieldBytesAreByteIdenticalToTheV3Body)
+{
+    // Recorded from the stream-based codec this one replaced: cache
+    // and store objects written by older builds must keep parsing,
+    // and new ones must read back in older builds.
+    CachedResult value = fakeResult(21.337);
+    value.result.mix = RequestMix::ReadModifyWrite;
+    value.result.mrps = 0.1;
+    value.result.writeMrps = -0.0;
+    value.result.readLatencyP99Ns = 1234.5678901234567;
+    value.result.readLatencyP999Ns = 4.9e-324; // smallest subnormal
+    const std::string expected =
+        "patternName 16 vaults\n"
+        "mix 2\n"
+        "requestSize 128\n"
+        "rawGBps 0x1.55645a1cac083p+4\n"
+        "mrps 0x1.999999999999ap-4\n"
+        "readMrps 0x0p+0\n"
+        "writeMrps -0x0p+0\n"
+        "readPayloadGBps 0x0p+0\n"
+        "writePayloadGBps 0x0p+0\n"
+        "readLatencyNs 2 0x1.efd8p+10 0x1.452p+9 0x1.4d48p+10 "
+        "0x1.efd8p+9 0x1.c76391p+17\n"
+        "writeLatencyNs 0 0x0p+0 inf -inf 0x0p+0 0x0p+0\n"
+        "readLatencyP50Ns 0x0p+0\n"
+        "readLatencyP99Ns 0x1.34a4584fd0fdfp+10\n"
+        "readLatencyP999Ns 0x0.0000000000001p-1022\n"
+        "statDigest 16045690984503111693\n";
+    EXPECT_EQ(serializeResultFields(value), expected);
+    EXPECT_EQ(ResultCache::serialize(value),
+              "hmcsim-result v3\n" + expected);
+
+    CachedResult back;
+    ASSERT_TRUE(parseResultFields(expected, back));
+    EXPECT_TRUE(bitIdentical(back.result, value.result));
+    EXPECT_EQ(back.statDigest, value.statDigest);
+}
+
 TEST(ResultCache, PersistsAcrossInstances)
 {
     const std::filesystem::path dir =
@@ -386,6 +427,50 @@ TEST(SweepRunner, SinkOutputIndependentOfJobCount)
     const std::string serial = jsonl(1);
     EXPECT_FALSE(serial.empty());
     EXPECT_EQ(serial, jsonl(4));
+}
+
+TEST(Sinks, DoubleFormatMatchesPrintf17g)
+{
+    // The sinks print doubles through std::to_chars; the JSONL/CSV
+    // bytes stay those of printf("%.17g") only if the two agree on
+    // every bit pattern, specials included.
+    const auto same = [](double v) {
+        char expect[40];
+        std::snprintf(expect, sizeof(expect), "%.17g", v);
+        std::string got;
+        appendDouble17(got, v);
+        return got == expect;
+    };
+    const double specials[] = {
+        0.0, -0.0, 0.1, 1e300, -1e300, 1.0, 123456789012345678.0,
+        std::numeric_limits<double>::denorm_min(),
+        -std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::min() / 3.0,
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest(),
+        std::numeric_limits<double>::infinity(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::quiet_NaN(),
+    };
+    for (const double v : specials)
+        EXPECT_TRUE(same(v)) << v;
+
+    std::string zeroPointOne;
+    appendDouble17(zeroPointOne, 0.1);
+    EXPECT_EQ(zeroPointOne, "0.10000000000000001");
+
+    Xoshiro256StarStar rng(0x5eed17);
+    std::size_t mismatches = 0;
+    for (int i = 0; i < 1'000'000; ++i) {
+        const std::uint64_t bits = rng.next();
+        double v;
+        std::memcpy(&v, &bits, sizeof(v));
+        if (!same(v) && ++mismatches <= 5)
+            ADD_FAILURE() << "bits 0x" << std::hex << bits;
+    }
+    EXPECT_EQ(mismatches, 0u);
 }
 
 TEST(SweepRunner, CacheShortCircuitsRepeatedRuns)

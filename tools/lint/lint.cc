@@ -77,7 +77,9 @@ ruleTable()
          "lint:allow(hot-check) and a comment naming why the check "
          "must stay in release builds"},
         {"hexfloat-persistence", "persistence",
-         "%e/%f/%g formatting in a file tagged lint:file(persistence)",
+         "%e/%f/%g formatting, std::chars_format::{general,fixed,"
+         "scientific}, or std::fixed/std::scientific/std::setprecision "
+         "in a file tagged lint:file(persistence)",
          "decimal float formatting rounds; persisted results must "
          "round-trip bit-exactly or a cache hit diverges from the "
          "original measurement (docs/runner.md)",
@@ -504,20 +506,25 @@ checkHexfloatPersistence(const FileContext &ctx,
     static const std::regex literal(R"("(?:[^"\\]|\\.)*")");
     static const std::regex decimalFloat(
         R"(%[-+ #0-9.*]*(?:hh|h|ll|l|L)?[efgEFG])");
+    // The same decimal formatting without a format string: to_chars
+    // in a decimal format, or the iostream float manipulators. Matched
+    // on the scrubbed code, so comments and literals stay silent.
+    static const std::regex decimalCall(
+        R"(\b(?:std\s*::\s*)?chars_format\s*::\s*)"
+        R"((?:general|fixed|scientific)\b)"
+        R"(|\bstd\s*::\s*(?:fixed|scientific|setprecision)\b)");
     for (std::size_t i = 0; i < ctx.raw.size(); ++i) {
         const std::string &line = ctx.raw[i];
-        auto begin =
-            std::sregex_iterator(line.begin(), line.end(), literal);
-        for (auto it = begin; it != std::sregex_iterator(); ++it) {
-            const std::string lit = it->str();
-            if (std::regex_search(lit, decimalFloat)) {
-                addFinding(ctx, out, static_cast<int>(i) + 1,
-                           "hexfloat-persistence",
-                           "decimal float format in persisted "
-                           "output; use %a");
-                break;
-            }
-        }
+        bool decimal = i < ctx.code.size() &&
+                       std::regex_search(ctx.code[i], decimalCall);
+        auto it = std::sregex_iterator(line.begin(), line.end(), literal);
+        for (; !decimal && it != std::sregex_iterator(); ++it)
+            decimal = std::regex_search(it->str(), decimalFloat);
+        if (decimal)
+            addFinding(ctx, out, static_cast<int>(i) + 1,
+                       "hexfloat-persistence",
+                       "decimal float formatting in persisted output; "
+                       "use %a");
     }
 }
 
