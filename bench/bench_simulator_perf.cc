@@ -16,10 +16,6 @@
  *    accept() against a replica of the pre-interface direct bank
  *    array on one packet stream, bit-identical by assertion, and
  *    bounds the dispatch overhead;
- *  - a batch-step A/B races the queued reference vault's per-event
- *    micro model against its time-stepped batched mode on a
- *    bank-bound schedule, completion streams bit-identical by
- *    assertion;
  *  - a snapshot-fork A/B races a cold 12-point measure-axis sweep
  *    against the same sweep served from one warmed, forked simulator
  *    (SweepOptions::warmStart), stat digests bit-identical by
@@ -47,7 +43,6 @@
 #include "dram/bank.hh"
 #include "gups/address_generator.hh"
 #include "hmc/address_mapper.hh"
-#include "hmc/queued_vault.hh"
 #include "hmc/vault_controller.hh"
 #include "host/experiment.hh"
 #include "link/link.hh"
@@ -546,86 +541,6 @@ dispatchRun(const std::vector<Packet> &pkts,
 }
 
 // ---------------------------------------------------------------------
-// Batch-step A/B (the batched vault stepping): the queued reference
-// vault's micro mode spends three-plus events per request (bank done,
-// coalesced grant, bus completion); the batched mode books each
-// request's bank timeline at offer time against the SoA bank-free
-// array, sequences the TSV bus from a (data-ready, age) heap, and
-// advances everything -- including MemoryBackend::stepBatch -- under
-// one armed timer. Both modes grant the bus by (data-ready, age), so
-// on a per-bank-state backend the completion streams are bit
-// identical; the harness asserts that before timing either side.
-//
-// The workload is closed-loop: a fixed window of outstanding requests
-// (the host-side tag pool the unbounded-queue assumption points at),
-// each completion offering the next. That keeps every bank queue deep
-// -- the vault machinery, not the feed, dominates -- while bounding
-// the backlog the way the real host does. Offers made inside the
-// completion callback land at identical ticks in identical age order
-// in both modes (completions are bit-identical), so the differential
-// still holds and is still asserted.
-// ---------------------------------------------------------------------
-
-/** Requests pushed through each vault mode per side. */
-constexpr std::size_t batchStepRequests = 200000;
-/** Outstanding-request window (the emulated host tag pool). */
-constexpr unsigned batchStepWindow = 2048;
-
-std::vector<Packet>
-makeBatchStepRequests()
-{
-    const VaultConfig vault_cfg;
-    std::vector<Packet> pkts(batchStepRequests);
-    Xoshiro256StarStar rng(37);
-    for (std::size_t i = 0; i < batchStepRequests; ++i) {
-        Packet &pkt = pkts[i];
-        pkt = Packet{};
-        pkt.id = i;
-        pkt.cmd = rng.nextBounded(3) == 0 ? Command::Write
-                                          : Command::Read;
-        pkt.bank = static_cast<std::uint8_t>(
-            rng.nextBounded(vault_cfg.numBanks));
-        pkt.row = static_cast<std::uint32_t>(rng.nextBounded(4096));
-        pkt.addr = rng.nextBounded(1u << 20) * 32;
-        pkt.payload = 128;
-    }
-    return pkts;
-}
-
-/** Run one vault mode over the shared request list and fold every
- *  completion tick into a checksum (the bit-identity witness). */
-std::uint64_t
-batchStepRun(const std::vector<Packet> &pkts, bool batched,
-             std::uint64_t acc)
-{
-    QueuedVaultConfig cfg;
-    cfg.batched = batched;
-    EventQueue queue;
-    std::vector<Tick> done(pkts.size(), 0);
-    std::size_t next = 0;
-    QueuedVaultController *vault_ptr = nullptr;
-    QueuedVaultController vault(
-        cfg, queue,
-        [&done, &next, &pkts, &vault_ptr](const Packet &pkt, Tick at) {
-            done[pkt.id] = at;
-            if (next < pkts.size())
-                vault_ptr->offer(pkts[next++]);
-        });
-    vault_ptr = &vault;
-    queue.schedule(0, [&vault, &pkts, &next] {
-        while (next < batchStepWindow && next < pkts.size())
-            vault.offer(pkts[next++]);
-    });
-    queue.runToCompletion();
-    for (const Tick t : done) {
-        if (t == 0)
-            fatal("reference vault dropped a request");
-        acc = acc * 1099511628211ULL ^ t;
-    }
-    return acc;
-}
-
-// ---------------------------------------------------------------------
 // Snapshot-fork A/B (copy-on-write simulator fork): a measure-axis
 // sweep re-simulates one identical warm-up per point when run cold;
 // warm-start mode (SweepOptions::warmStart) simulates it once and
@@ -690,11 +605,6 @@ struct SimcoreResults
      *  one least disturbed by the host, and a single noisy rep
      *  cannot sink the guard the way a min/min ratio can. */
     double dispatchBestRatio = 0.0;
-    double batchMicroMs = 0.0;
-    double batchBatchedMs = 0.0;
-    /** Best micro/batched ratio over interleaved rep pairs (same
-     *  rationale as dispatchBestRatio: noise-robust guard input). */
-    double batchBestRatio = 0.0;
     /** Best per-call/windowed ratio over interleaved rep pairs. */
     double issueBestRatio = 0.0;
     /** Best per-sample/batched ratio over interleaved rep pairs. */
@@ -707,7 +617,6 @@ struct SimcoreResults
     double mapperSpeedup() const { return mapperDivmodMs / mapperPlanMs; }
     double statsSpeedup() const { return statsBestRatio; }
     double issueSpeedup() const { return issueBestRatio; }
-    double batchSpeedup() const { return batchBestRatio; }
     double forkSpeedup() const { return forkColdMs / forkWarmMs; }
     /** Direct-array wall over virtual-interface wall: 1.0 = free
      *  dispatch, 0.98 = the interface costs 2%. */
@@ -915,33 +824,6 @@ results()
                 out.dispatchBestRatio = direct / virt;
         }
 
-        // Batch-step A/B: completion streams must be bit-identical
-        // before either vault mode is timed (same (data-ready, age)
-        // bus arbitration, docs/performance.md). Interleaved rep
-        // pairs, best ratio, like the dispatch A/B.
-        const std::vector<Packet> batch_pkts = makeBatchStepRequests();
-        if (batchStepRun(batch_pkts, false, 0) !=
-            batchStepRun(batch_pkts, true, 0))
-            fatal("batched vault stepping diverges from the "
-                  "event-driven micro model");
-        constexpr unsigned batch_reps = 5;
-        for (unsigned i = 0; i < batch_reps; ++i) {
-            const double micro = minWallMs(1, [&] {
-                benchmark::DoNotOptimize(
-                    batchStepRun(batch_pkts, false, salt++));
-            });
-            const double stepped = minWallMs(1, [&] {
-                benchmark::DoNotOptimize(
-                    batchStepRun(batch_pkts, true, salt++));
-            });
-            if (i == 0 || micro < out.batchMicroMs)
-                out.batchMicroMs = micro;
-            if (i == 0 || stepped < out.batchBatchedMs)
-                out.batchBatchedMs = stepped;
-            if (i == 0 || micro / stepped > out.batchBestRatio)
-                out.batchBestRatio = micro / stepped;
-        }
-
         // Snapshot-fork A/B: the warmed sweep must reproduce the cold
         // sweep's stat digests bit for bit before timing.
         if (forkSweepRun(false, 0) != forkSweepRun(true, 0))
@@ -1019,12 +901,6 @@ printFigure()
                 "ratio %.3fx (1.0 = free; guard floor 0.98)\n",
                 r.dispatchDirectMs, r.dispatchVirtualMs,
                 r.dispatchRatio());
-
-    std::printf("\nBatched vault stepping (%zu closed-loop requests, "
-                "window %u, bit-identical completions): micro %.1f ms "
-                "vs batched %.1f ms, best paired speedup %.2fx\n",
-                batchStepRequests, batchStepWindow, r.batchMicroMs,
-                r.batchBatchedMs, r.batchSpeedup());
 
     std::printf("\nSnapshot-fork warm start (%u-point measure-axis "
                 "sweep, one worker, bit-identical digests): cold "
@@ -1104,14 +980,6 @@ writeJson()
     std::fprintf(f, "  },\n");
     std::fprintf(
         f,
-        "  \"batch_step\": {\"requests\": %llu, \"window\": %u, "
-        "\"micro_ms\": %.3f, \"batched_ms\": %.3f, "
-        "\"speedup\": %.3f},\n",
-        static_cast<unsigned long long>(batchStepRequests),
-        batchStepWindow, r.batchMicroMs, r.batchBatchedMs,
-        r.batchSpeedup());
-    std::fprintf(
-        f,
         "  \"snapshot_fork\": {\"points\": %u, \"jobs\": 1, "
         "\"warmup_us\": 40, \"cold_ms\": %.3f, \"warm_ms\": %.3f, "
         "\"speedup\": %.3f},\n",
@@ -1130,14 +998,13 @@ writeJson()
                  "\"address_decode_speedup\": %.3f, "
                  "\"stats_flush_speedup\": %.3f, "
                  "\"gups_issue_speedup\": %.3f, "
-                 "\"batch_step_speedup\": %.3f, "
                  "\"snapshot_fork_speedup\": %.3f, "
                  "\"backend_dispatch_floor\": 0.98, "
                  "\"backend_dispatch_ratio\": %.3f, "
                  "\"platform_budget_ms\": %.1f, "
                  "\"platform_wall_ms\": %.3f}\n",
                  r.chainSpeedup(), r.mapperSpeedup(), r.statsSpeedup(),
-                 r.issueSpeedup(), r.batchSpeedup(), r.forkSpeedup(),
+                 r.issueSpeedup(), r.forkSpeedup(),
                  r.dispatchRatio(), platformBudgetMs(),
                  r.platformWallMs);
     std::fprintf(f, "}\n");
@@ -1281,8 +1148,6 @@ main(int argc, char **argv)
         // measured 1.74x) so the guard catches a real fast-path
         // regression without flaking on drift.
         require(r.issueSpeedup(), 1.3, "windowed GUPS issue");
-        require(r.batchSpeedup(), 1.5,
-                "batched vault stepping (bank-bound workload)");
         require(r.forkSpeedup(), 1.5,
                 "snapshot-fork warmed sweep (per worker)");
         // The MemoryBackend interface must stay within 2% of the

@@ -1,13 +1,12 @@
 // lint:file(hot-path) -- event-core file: allocation-free callables (no std::function) and HMCSIM_DCHECK-only invariants, enforced by hmcsim-lint.
 #include "hmc/queued_vault.hh"
 
-#include <algorithm>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <utility>
 
 #include "dram/bank.hh"
-#include "sim/logging.hh"
 
 namespace hmcsim
 {
@@ -28,17 +27,6 @@ QueuedVaultController::QueuedVaultController(const QueuedVaultConfig &cfg,
 {
     if (storage->kind() == BackendKind::HmcDram)
         fastHmc = static_cast<HmcDramBackend *>(storage.get());
-    if (cfg.batched) {
-        // Backpressure needs per-event retry granularity, which is
-        // exactly what batching removes. Config error, not a hot path.
-        // lint:allow(hot-check)
-        HMCSIM_CHECK(cfg.perBankQueueDepth == 0 &&
-                         cfg.busQueueLimit == 0,
-                     "batched vault stepping requires unbounded "
-                     "queues (finite depths need per-event "
-                     "backpressure retries)");
-        lastBankFree.assign(cfg.base.numBanks, 0);
-    }
 }
 
 void
@@ -85,36 +73,6 @@ QueuedVaultController::registerCheckers(CheckerRegistry &registry,
         }
         return {};
     });
-    // Batched-mode accounting: every accepted request is exactly one
-    // of completed / waiting for bank data (heap) / sequenced on the
-    // bus (pendingDone); and whenever work is pending, the timer is
-    // armed no later than the earliest deadline (a violated bound is
-    // a lost wakeup -- the completion would silently never fire).
-    if (cfg.batched) {
-        registry.addLambda(name + ".batched",
-                           [this](Tick) -> std::string {
-            const std::uint64_t in_flight =
-                busHeap.size() + pendingDone.size();
-            if (_stats.accepted != _stats.completed + in_flight) {
-                std::ostringstream out;
-                out << _stats.accepted << " accepted != "
-                    << _stats.completed << " completed + " << in_flight
-                    << " in flight";
-                return out.str();
-            }
-            bool any = false;
-            const Tick due = nextDue(any);
-            if (any && !timerArmed)
-                return "pending work but no armed timer (lost wakeup)";
-            if (any && armedAt > due) {
-                std::ostringstream out;
-                out << "timer armed at " << armedAt
-                    << ", past the earliest deadline " << due;
-                return out.str();
-            }
-            return {};
-        });
-    }
     // Pool conservation: one live slot per accepted-but-uncompleted
     // request (queued at a bank, in the bank array, or staged for the
     // bus). Drift means a leaked or double-released slot.
@@ -134,8 +92,6 @@ QueuedVaultController::registerCheckers(CheckerRegistry &registry,
 bool
 QueuedVaultController::offer(const Packet &pkt)
 {
-    if (cfg.batched)
-        return offerBatched(pkt);
     const unsigned bank_idx = pkt.bank;
     if (cfg.perBankQueueDepth != 0 &&
         bankQueues.at(bank_idx).size() >= cfg.perBankQueueDepth) {
@@ -260,134 +216,6 @@ QueuedVaultController::grantBus()
             }
         }
     });
-}
-
-// --- Batched stepping ------------------------------------------------
-//
-// With unbounded queues the micro model's per-bank FCFS collapses to a
-// closed form: access i on bank b starts its array work at
-// max(arrive_i + controllerLatency, bankFree_{i-1}), regardless of
-// when the intervening events would have run. The batched path books
-// that timeline at offer time against the lastBankFree SoA array --
-// same backend accept() call with the same `ready` argument the micro
-// model would pass, so the refresh catch-up horizon and every returned
-// tuple are bit-identical. The three per-request events are replaced
-// by one armed timer that fires only at externally visible ticks
-// (bus completions) and newly safe bus grants.
-
-bool
-QueuedVaultController::offerBatched(const Packet &pkt)
-{
-    ++_stats.accepted;
-    Packet *slot = pool.acquire();
-    *slot = pkt;
-    slot->tVaultArrive = queue.now();
-    const unsigned bank_idx = pkt.bank;
-
-    const Tick earliest =
-        slot->tVaultArrive + cfg.base.controllerLatency;
-    const Tick prev_free = lastBankFree[bank_idx];
-    const Tick ready = earliest > prev_free ? earliest : prev_free;
-
-    BankAccessResult res = fastHmc ? fastHmc->accept(*slot, ready)
-                                   : storage->accept(*slot, ready);
-    slot->tBankStart = res.start;
-    lastBankFree[bank_idx] = res.bankFree;
-    Tick data_ready = res.dataReady;
-    if (slot->cmd == Command::Atomic)
-        data_ready += cfg.base.atomicLatency;
-
-    busHeap.push_back(BusEntry{data_ready, nextOfferSeq++, slot,
-                               busBytesFor(*slot)});
-    std::push_heap(busHeap.begin(), busHeap.end(), BusEntryAfter{});
-    // Only the heap minimum can have moved, and only downward.
-    ensureArmed(busHeap.front().dataReady);
-    return true;
-}
-
-Tick
-QueuedVaultController::nextDue(bool &any) const
-{
-    any = !pendingDone.empty() || !busHeap.empty();
-    if (!any)
-        return 0;
-    if (pendingDone.empty())
-        return busHeap.front().dataReady;
-    if (busHeap.empty())
-        return pendingDone.front().at;
-    return pendingDone.front().at < busHeap.front().dataReady
-               ? pendingDone.front().at
-               : busHeap.front().dataReady;
-}
-
-void
-QueuedVaultController::ensureArmed(Tick at)
-{
-    if (timerArmed && armedAt <= at)
-        return;
-    // Events cannot be canceled: a superseded timer stays in the
-    // queue and identifies itself at fire time by now != armedAt
-    // (processDue is idempotent, so the rare same-tick duplicate
-    // after a re-arm is harmless).
-    timerArmed = true;
-    armedAt = at;
-    queue.schedule(at, [this] {
-        if (queue.now() == armedAt)
-            processDue();
-    });
-}
-
-void
-QueuedVaultController::processDue()
-{
-    const Tick now = queue.now();
-
-    // Externally visible first: completions whose bus transfer ends
-    // now. The deque is monotone and the timer never fires past a
-    // pending deadline, so `at` here is exactly `now`.
-    while (!pendingDone.empty() && pendingDone.front().at <= now) {
-        Packet *pkt = pendingDone.front().pkt;
-        const Tick at = pendingDone.front().at;
-        pendingDone.pop_front();
-        ++_stats.completed;
-        onComplete(*pkt, at);
-        pool.release(pkt);
-    }
-
-    // Bulk-advance the storage engine between visible events: refresh
-    // catch-up for the DRAM array, drain-ring retirement for NVM.
-    // Timing-neutral by the stepBatch contract (mem/backend.hh).
-    storage->stepBatch(now);
-
-    // Sequence every transfer whose data is ready onto the bus. Safe
-    // to finalize: a future offer always yields dataReady > now (its
-    // ready is at least arrive + controllerLatency > now), so the
-    // heap prefix at <= now can no longer be preempted.
-    while (!busHeap.empty() && busHeap.front().dataReady <= now) {
-        std::pop_heap(busHeap.begin(), busHeap.end(), BusEntryAfter{});
-        const BusEntry entry = busHeap.back();
-        busHeap.pop_back();
-        const Tick start = busFreeAt > entry.dataReady
-                               ? busFreeAt
-                               : entry.dataReady;
-        // Exactly grantBus()'s rate expression, double math included:
-        // the same bytes must round to the same duration.
-        const DramTimings &t = storage->timings();
-        const double bytes_per_ps =
-            static_cast<double>(t.beatBytes) /
-            static_cast<double>(t.tBeat);
-        const Tick duration = static_cast<Tick>(
-            static_cast<double>(entry.busBytes) / bytes_per_ps);
-        _stats.busBusy += duration;
-        busFreeAt = start + duration;
-        pendingDone.push_back({busFreeAt, entry.pkt});
-    }
-
-    timerArmed = false;
-    bool any = false;
-    const Tick due = nextDue(any);
-    if (any)
-        ensureArmed(due);
 }
 
 } // namespace hmcsim

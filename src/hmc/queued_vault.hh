@@ -53,23 +53,6 @@ struct QueuedVaultConfig
      * 0 = unbounded, which matches the analytic model's booking.
      */
     unsigned busQueueLimit = 0;
-    /**
-     * Time-stepped batch execution: instead of three events per
-     * request (bank done, bank free, bus complete), the vault books
-     * each request's whole bank timeline at offer time against an SoA
-     * bank-free array, sequences the data bus from a ready-ordered
-     * heap, and advances everything under one armed timer that also
-     * bulk-steps the storage engine (MemoryBackend::stepBatch --
-     * refresh catch-up, NVM drain retirement). Both modes grant the
-     * bus by (data-ready time, request age) -- age-based arbitration,
-     * so equal-ready ties go to the older request -- which makes
-     * completion times bit-identical to the micro model for per-bank-
-     * state backends (HMC DRAM, NVM; DDR4's shared-tFAW regulator
-     * makes multi-bank accept order significant, so only its single-
-     * bank configs match). Requires unbounded queues (backpressure
-     * retries need per-event granularity; checked fatal).
-     */
-    bool batched = false;
 };
 
 /** Statistics of the queued vault. */
@@ -110,8 +93,8 @@ class QueuedVaultController
 
     const QueuedVaultStats &stats() const { return _stats; }
 
-    /** The vault's storage engine (inspection; tests use this to
-     *  observe backend-side batch bookkeeping). */
+    /** The vault's storage engine (inspection; tests read backend-
+     *  side bookkeeping such as NVM drain retirement through it). */
     const MemoryBackend &backend() const { return *storage; }
 
     /** Requests currently queued at bank @p idx. */
@@ -136,21 +119,6 @@ class QueuedVaultController
 
     /** TSV bus footprint of @p pkt (command beats + aligned data). */
     Bytes busBytesFor(const Packet &pkt) const;
-
-    /** Batched-mode offer: book the bank timeline eagerly. */
-    bool offerBatched(const Packet &pkt);
-
-    /** Batched-mode timer body: deliver due completions, bulk-step
-     *  the storage engine, sequence newly-safe bus transfers, and
-     *  re-arm for the next due tick. Idempotent. */
-    void processDue();
-
-    /** Earliest pending batched deadline, or 0 when none pending
-     *  (@p any set accordingly). */
-    Tick nextDue(bool &any) const;
-
-    /** Guarantee the timer fires no later than @p at. */
-    void ensureArmed(Tick at);
 
     QueuedVaultConfig cfg;
     EventQueue &queue;
@@ -207,53 +175,8 @@ class QueuedVaultController
      *  (same-tick scheduled events run after all pre-scheduled
      *  ones). */
     bool grantPending = false;
-
-    // --- Batched mode (cfg.batched) ---------------------------------
-    // Same (dataReady, offerSeq) grant order as the micro bus stage,
-    // as a heap instead of an incrementally sorted FIFO. Committing
-    // the whole dataReady <= now prefix at a timer tick preserves the
-    // global order: any future offer at tick t > now yields
-    // dataReady > t > now, strictly after everything committed.
-    struct BusEntry
-    {
-        Tick dataReady;
-        std::uint64_t offerSeq;
-        Packet *pkt;
-        Bytes busBytes;
-    };
-    /** std::push_heap comparator: max-heap inverted into a min-heap
-     *  on the (dataReady, offerSeq) key. */
-    struct BusEntryAfter
-    {
-        bool
-        operator()(const BusEntry &a, const BusEntry &b) const
-        {
-            if (a.dataReady != b.dataReady)
-                return a.dataReady > b.dataReady;
-            return a.offerSeq > b.offerSeq;
-        }
-    };
-
-    /** When bank b's previously booked access frees the array (SoA:
-     *  the only per-bank state the batched offer path touches). */
-    std::vector<Tick> lastBankFree;
-    /** Transfers waiting for their bank data (min-heap, key above). */
-    std::vector<BusEntry> busHeap;
-    /** Sequenced bus completions, monotone in `at` because grants
-     *  chain busFreeAt. */
-    struct PendingDone
-    {
-        Tick at;
-        Packet *pkt;
-    };
-    std::deque<PendingDone> pendingDone;
-    Tick busFreeAt = 0;
+    /** Admission counter: the age stamped on each QueuedRequest. */
     std::uint64_t nextOfferSeq = 0;
-    /** Single armed timer: when armed, it fires at armedAt and
-     *  armedAt <= every pending deadline (superseded timer events
-     *  identify themselves by firing at a tick != armedAt). */
-    bool timerArmed = false;
-    Tick armedAt = 0;
 
     QueuedVaultStats _stats;
 };

@@ -21,7 +21,6 @@
 #ifndef HMCSIM_MEM_BACKEND_HH
 #define HMCSIM_MEM_BACKEND_HH
 
-#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -106,18 +105,6 @@ struct BackendEnvironment
 class Bank;
 
 /**
- * One request of a batched accept: input (packet, earliest start) and
- * the access tuple the backend filled in (mem/backend.hh stepBatch /
- * acceptBatch fast path, docs/performance.md).
- */
-struct BatchAccess
-{
-    const Packet *pkt; // lint:allow(snapshot-safe, transient batch view, never part of a snapshot)
-    Tick ready = 0;
-    BankAccessResult res;
-};
-
-/**
  * A vault's storage engine. Implementations are single-threaded like
  * the vault that owns them and must be deterministic: identical
  * accept() sequences produce identical results (the sweep runner's
@@ -137,33 +124,6 @@ class MemoryBackend
      * shared TSV data bus from dataReady.
      */
     virtual BankAccessResult accept(const Packet &pkt, Tick ready) = 0;
-
-    // ---- Batched stepping (docs/performance.md) ------------------------
-    /**
-     * Advance all time-driven internal state (refresh engines, write-
-     * queue drains) to @p until in one bulk pass, instead of catching
-     * up lazily inside each accept(). Must be idempotent and exactly
-     * equivalent to the lazy catch-up: an accept() after
-     * stepBatch(until) returns byte-identical results with or without
-     * the call (differential-tested per backend). Backends with no
-     * time-driven state keep the no-op default.
-     */
-    virtual void stepBatch(Tick until) { (void)until; }
-
-    /**
-     * Accept @p n requests in one call, filling each entry's `res`.
-     * Semantically identical to calling accept() per entry in array
-     * order -- the default does exactly that and serves as the
-     * differential reference; backends override it with SoA
-     * bulk-update loops (branch-free timing math over per-bank state
-     * arrays).
-     */
-    virtual void
-    acceptBatch(BatchAccess *batch, std::size_t n)
-    {
-        for (std::size_t i = 0; i < n; ++i)
-            batch[i].res = accept(*batch[i].pkt, batch[i].ready);
-    }
 
     /**
      * Adopt the complete mutable state of @p src for simulator fork

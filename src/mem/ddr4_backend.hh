@@ -35,17 +35,6 @@ class Ddr4Backend final : public MemoryBackend
 
     BankAccessResult accept(const Packet &pkt, Tick ready) override;
 
-    /** Batched accept: the class is final, so the loop devirtualizes
-     *  accept() -- same arithmetic, same (accept-call) order. The
-     *  shared tFAW regulator makes that order significant across
-     *  banks, exactly as for the per-access path (docs/backends.md). */
-    void
-    acceptBatch(BatchAccess *batch, std::size_t n) override
-    {
-        for (std::size_t i = 0; i < n; ++i)
-            batch[i].res = accept(*batch[i].pkt, batch[i].ready);
-    }
-
     void
     restoreFrom(const MemoryBackend &src) override
     {

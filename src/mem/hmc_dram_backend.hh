@@ -50,54 +50,6 @@ class HmcDramBackend final : public MemoryBackend
                                       pkt.row, pkt.payload, is_write);
     }
 
-    /**
-     * Bulk refresh catch-up for every bank at once (the batched-vault
-     * fast path): equivalent to the lazy refreshDue() inside accept()
-     * because catch-up is idempotent and monotone in `now` -- any
-     * refresh applied here (nextRefresh <= until) would also have been
-     * applied by the next accept() at ready >= until, so subsequent
-     * accepts return byte-identical tuples either way.
-     */
-    void
-    stepBatch(Tick until) override
-    {
-        const Tick interval = refreshInterval();
-        if (interval == 0)
-            return;
-        for (std::size_t b = 0; b < banks.size(); ++b)
-            refreshDue(static_cast<unsigned>(b), until);
-    }
-
-    /**
-     * Batched accept: the per-request virtual dispatch and the
-     * refresh-engine enable check are hoisted out of the loop; the
-     * per-entry arithmetic is exactly accept()'s, in array order.
-     */
-    void
-    acceptBatch(BatchAccess *batch, std::size_t n) override
-    {
-        const Tick interval = refreshInterval();
-        for (std::size_t i = 0; i < n; ++i) {
-            const Packet &pkt = *batch[i].pkt;
-            const Tick ready = batch[i].ready;
-            const bool is_write = pkt.cmd != Command::Read;
-            HMCSIM_DCHECK(pkt.bank < banks.size(),
-                          "decoded bank %u out of range",
-                          static_cast<unsigned>(pkt.bank));
-            if (interval != 0) {
-                while (nextRefresh[pkt.bank] <= ready) {
-                    banks[pkt.bank].refresh(env.timings,
-                                            nextRefresh[pkt.bank]);
-                    nextRefresh[pkt.bank] += interval;
-                    ++numRefreshes;
-                }
-            }
-            batch[i].res =
-                banks[pkt.bank].access(env.timings, env.policy, ready,
-                                       pkt.row, pkt.payload, is_write);
-        }
-    }
-
     void
     restoreFrom(const MemoryBackend &src) override
     {

@@ -64,13 +64,12 @@ NvmBackend::accept(const Packet &pkt, Tick ready)
         const Tick drain_done = drain_start + writeLatency;
         bank.arrayFree = drain_done;
         if (queueDepth > 0) {
-            // Slot reuse while the ring still holds unretired entries:
-            // the entry being overwritten has provably drained by
-            // `admit` (admission waited for it above), so retire it
-            // inline. The bulk path is stepBatch(); this fallback only
-            // keeps the bookkeeping exact between stepBatch calls.
+            // Slot reuse retires the ring's oldest entry: it has
+            // provably drained by `admit` (admission waited for it
+            // above). Retirement is bookkeeping only -- the timing
+            // above reads the ring directly -- and it keeps
+            // drained + queued == writes exact per bank.
             if (bank.queued == queueDepth) {
-                bank.tail = (bank.tail + 1) % queueDepth;
                 --bank.queued;
                 ++bank.drained;
                 ++totalDrained;
@@ -98,35 +97,6 @@ NvmBackend::accept(const Packet &pkt, Tick ready)
         res.bankFree = data_ready;
     }
     return res;
-}
-
-void
-NvmBackend::stepBatch(Tick until)
-{
-    if (queueDepth == 0)
-        return;
-    // One pass over the per-bank drain rings: each ring's completion
-    // ticks ascend from tail to head (drain starts chain arrayFree),
-    // so retirement is a sequential cursor advance per bank.
-    for (std::size_t b = 0; b < banks.size(); ++b) {
-        BankState &bank = banks[b];
-        while (bank.queued > 0 && drainSlot(b, bank.tail) <= until) {
-            bank.tail = (bank.tail + 1) % queueDepth;
-            --bank.queued;
-            ++bank.drained;
-            ++totalDrained;
-        }
-    }
-}
-
-void
-NvmBackend::acceptBatch(BatchAccess *batch, std::size_t n)
-{
-    // The class is final, so this loop devirtualizes accept(): one
-    // indirect call per batch instead of one per request, same
-    // arithmetic in the same array order as the interface default.
-    for (std::size_t i = 0; i < n; ++i)
-        batch[i].res = accept(*batch[i].pkt, batch[i].ready);
 }
 
 void
@@ -178,12 +148,12 @@ NvmBackend::registerCheckers(CheckerRegistry &registry,
             << " but " << totalWrites << " writes were accepted";
         return out.str();
     });
-    // Drain-retirement conservation (batched stepping interface):
-    // with a finite ring, every write is either still queued or has
-    // been retired -- per bank and in total. Holds across a
-    // snapshot/restore cycle because all cursors and counters are
-    // value state (tests/test_snapshot_fork.cc re-runs this checker
-    // on a restored twin).
+    // Drain-retirement conservation: with a finite ring, every write
+    // is either still queued or has been retired -- per bank and in
+    // total. Holds across a snapshot/restore cycle because all
+    // cursors and counters are value state
+    // (tests/test_snapshot_fork.cc re-runs this checker on a restored
+    // twin).
     if (queueDepth > 0) {
         registry.addLambda(name + ".drain_conservation",
                            [this](Tick) -> std::string {

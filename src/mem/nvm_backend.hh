@@ -42,22 +42,6 @@ class NvmBackend final : public MemoryBackend
 
     BankAccessResult accept(const Packet &pkt, Tick ready) override;
 
-    /**
-     * Bulk write-queue drain retirement (the batched stepping
-     * interface): walk every bank's drain ring from its oldest
-     * pending entry and retire all drains completed by @p until, in
-     * one SoA pass, instead of retiring one entry at a time on slot
-     * reuse inside accept(). Retirement is pure bookkeeping -- the
-     * timing arithmetic in accept() reads the ring directly -- so the
-     * access tuples are byte-identical whether or not stepBatch runs
-     * (differential-tested in tests/test_backend.cc).
-     */
-    void stepBatch(Tick until) override;
-
-    /** Batched accept: per-request virtual dispatch hoisted out; the
-     *  per-entry arithmetic is exactly accept()'s, in array order. */
-    void acceptBatch(BatchAccess *batch, std::size_t n) override;
-
     void restoreFrom(const MemoryBackend &src) override;
 
     unsigned
@@ -83,10 +67,9 @@ class NvmBackend final : public MemoryBackend
         return banks.at(idx).writes;
     }
 
-    /** Writes whose background drain has been retired (stepBatch or
-     *  slot-reuse fallback). Internal bookkeeping, deliberately not a
-     *  registered stat: retirement points depend on when stepBatch
-     *  runs, which must never be digest-observable. */
+    /** Writes whose background drain has been retired (on slot
+     *  reuse in accept()). Internal bookkeeping, deliberately not a
+     *  registered stat, so the stat digest never depends on it. */
     std::uint64_t drainedWrites() const { return totalDrained; }
 
     /** Writes admitted but not yet retired from the drain rings. */
@@ -106,9 +89,8 @@ class NvmBackend final : public MemoryBackend
         Tick arrayFree = 0;
         /** Ring cursor into this bank's drain-done slots. */
         std::size_t head = 0;
-        /** Oldest not-yet-retired drain entry (ring cursor). */
-        std::size_t tail = 0;
-        /** Entries between tail and head: admitted, not retired. */
+        /** Ring entries admitted and not yet retired (the newest
+         *  `queued` slots before head). */
         unsigned queued = 0;
         /** Endurance counter: writes absorbed by this bank. */
         std::uint64_t writes = 0;
