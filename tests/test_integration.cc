@@ -215,12 +215,23 @@ TEST(Integration, Hmc2ConfigRunsAndScalesVaults)
 
 // ---- Property sweeps ----------------------------------------------------
 
+// gtest names each case by dumping the parameter's bytes, so every
+// byte is a member: padding left to the compiler would be uninitialised
+// and would change the discovered test names from run to run.
 struct SweepParam
 {
+    SweepParam(RequestMix m, Bytes s, unsigned v)
+        : mix(m), size(s), vaults(v)
+    {
+    }
+
     RequestMix mix;
+    std::uint8_t pad0[7] = {};
     Bytes size;
     unsigned vaults;
+    std::uint32_t pad1 = 0;
 };
+static_assert(sizeof(SweepParam) == 24, "SweepParam must have no padding");
 
 class ExperimentPropertySweep
     : public ::testing::TestWithParam<SweepParam>
