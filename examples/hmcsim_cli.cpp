@@ -110,7 +110,6 @@ printHelp(std::FILE *out)
         "  --out FILE                 JSON-lines results   "
         "(\"-\" = stdout)\n"
         "  --csv-out FILE             CSV results\n"
-        "  --cache DIR                persistent result cache\n"
         "  --store DIR                shared cross-process result "
         "store\n"
         "                             (claims divide work between\n"
@@ -133,8 +132,6 @@ printHelp(std::FILE *out)
         "  --in FILE                  request script (default stdin)\n"
         "  --out FILE                 JSONL results  (default stdout)\n"
         "  --jobs N                   default worker count\n"
-        "  --cache DIR                persistent result cache for\n"
-        "                             `sweep` requests\n"
         "  --store DIR                shared cross-process result store\n"
         "                             consulted before simulating\n"
         "  requests, one per line ('#' comments, blank lines ok):\n"
@@ -465,7 +462,6 @@ runSweepCommand(int argc, char **argv, int first)
     std::vector<unsigned> bankAxis;
     std::string outPath;
     std::string csvPath;
-    std::string cacheDir;
     std::string storeDir;
     std::string workersSpec;
     bool timing = false;
@@ -488,8 +484,6 @@ runSweepCommand(int argc, char **argv, int first)
             outPath = next(argc, argv, i);
         } else if (arg == "--csv-out") {
             csvPath = next(argc, argv, i);
-        } else if (arg == "--cache") {
-            cacheDir = next(argc, argv, i);
         } else if (arg == "--store") {
             storeDir = next(argc, argv, i);
         } else if (arg == "--workers") {
@@ -575,12 +569,6 @@ runSweepCommand(int argc, char **argv, int first)
     if (axes.patterns.empty())
         axes.patterns = paperPatternAxis(mapper);
 
-    if (!storeDir.empty() && !cacheDir.empty()) {
-        std::fprintf(stderr,
-                     "--store and --cache are exclusive; the store "
-                     "already persists results\n");
-        return 1;
-    }
     std::unique_ptr<SharedResultStore> store;
     std::unique_ptr<ClaimedResultStorage> claimed;
     std::unique_ptr<ResultCache> cache;
@@ -598,9 +586,6 @@ runSweepCommand(int argc, char **argv, int first)
             // leasing and claiming are the workers' job.
             cache = std::make_unique<ResultCache>(*store);
         }
-        opts.cache = cache.get();
-    } else if (!cacheDir.empty()) {
-        cache = std::make_unique<ResultCache>(cacheDir);
         opts.cache = cache.get();
     }
 
@@ -1132,7 +1117,6 @@ runServeCommand(int argc, char **argv, int first)
 {
     std::string inPath;
     std::string outPath = "-";
-    std::string cacheDir;
     std::string storeDir;
     unsigned jobs = 0;
 
@@ -1146,8 +1130,6 @@ runServeCommand(int argc, char **argv, int first)
             inPath = next(argc, argv, i);
         } else if (arg == "--out") {
             outPath = next(argc, argv, i);
-        } else if (arg == "--cache") {
-            cacheDir = next(argc, argv, i);
         } else if (arg == "--store") {
             storeDir = next(argc, argv, i);
         } else if (arg == "--jobs") {
@@ -1156,12 +1138,6 @@ runServeCommand(int argc, char **argv, int first)
         } else {
             usage();
         }
-    }
-    if (!storeDir.empty() && !cacheDir.empty()) {
-        std::fprintf(stderr,
-                     "--store and --cache are exclusive; the store "
-                     "already persists results\n");
-        return 1;
     }
 
     std::ifstream inFile;
@@ -1177,11 +1153,10 @@ runServeCommand(int argc, char **argv, int first)
     std::ofstream outFile;
     std::ostream *out = openOut(outPath, outFile);
 
-    // The in-memory cache spans the whole session even without
-    // --cache: a repeated sweep request is served, not re-simulated.
-    // With --store it tiers onto the shared cross-process store, so
-    // points another process already ran are served without
-    // simulating.
+    // The in-memory cache spans the whole session: a repeated sweep
+    // request is served, not re-simulated. With --store it tiers onto
+    // the shared cross-process store, so points another process
+    // already ran are served without simulating.
     std::unique_ptr<SharedResultStore> store;
     std::unique_ptr<ClaimedResultStorage> claimed;
     std::unique_ptr<ResultCache> cache;
@@ -1191,7 +1166,7 @@ runServeCommand(int argc, char **argv, int first)
         claimed = std::make_unique<ClaimedResultStorage>(*store);
         cache = std::make_unique<ResultCache>(*claimed);
     } else {
-        cache = std::make_unique<ResultCache>(cacheDir);
+        cache = std::make_unique<ResultCache>();
     }
     JsonLinesSink sink(*out);
     sink.setStreaming(true);

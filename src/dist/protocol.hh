@@ -17,8 +17,8 @@
  *                     come; worker exits)
  *
  * The worker recomputes configDigest() over every decoded point and
- * refuses a mismatch; the result body is the exact serialized field
- * set ResultCache persists, so a result round-trips bit-identically
+ * refuses a mismatch; the result body is serializeResultFields(), the
+ * field set the store persists, so a result round-trips bit-identically
  * from worker to coordinator to sink. Lease reclaim is implicit:
  * a worker connection dying returns its outstanding indices to the
  * pending queue.

@@ -11,7 +11,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 #include <thread>
 
 #include "runner/kv_codec.hh"
@@ -31,6 +30,31 @@ hexKey(std::uint64_t key)
     std::snprintf(buf, sizeof(buf), "%016llx",
                   static_cast<unsigned long long>(key));
     return buf;
+}
+
+/** The claim record: owner pid and lease expiry (epoch seconds). */
+template <typename Codec, typename Int>
+bool
+codeClaim(Codec &io, Int &pid, Int &expires)
+{
+    return io.line("claim v2") && io.field("pid", pid) &&
+           io.field("expires", expires);
+}
+
+/** Lease expiry of the claim record at @p path; nullopt when the
+ *  record is unreadable or malformed (e.g. its owner is mid-write). */
+std::optional<std::uint64_t>
+readClaimExpiry(const std::string &path)
+{
+    std::string text;
+    if (!readTextFile(path, text))
+        return std::nullopt;
+    KvReader in(text);
+    std::uint64_t pid = 0;
+    std::uint64_t expires = 0;
+    if (!codeClaim(in, pid, expires) || !in.atEnd())
+        return std::nullopt;
+    return expires;
 }
 
 } // namespace
@@ -182,12 +206,12 @@ SharedResultStore::tryClaim(std::uint64_t key)
             const ssize_t got = ::read(fd, prev, sizeof(prev) - 1);
             const bool stolen = got > 0;
 
-            std::ostringstream record;
-            record << "claim v1 pid " << static_cast<long>(::getpid())
-                   << " expires "
-                   << (wallClockEpochSeconds() + opts.leaseSeconds)
-                   << '\n';
-            const std::string text = record.str();
+            const std::uint64_t pid = static_cast<std::uint64_t>(::getpid());
+            const std::uint64_t expires = static_cast<std::uint64_t>(
+                wallClockEpochSeconds() + opts.leaseSeconds);
+            std::string text;
+            KvWriter record(text);
+            codeClaim(record, pid, expires);
             if (::ftruncate(fd, 0) != 0 ||
                 ::pwrite(fd, text.data(), text.size(), 0) < 0)
                 warn("result store: cannot stamp claim %s",
@@ -204,19 +228,12 @@ SharedResultStore::tryClaim(std::uint64_t key)
         // Live flock elsewhere. Honor it unless the lease expired --
         // then evict by unlinking the path: the wedged owner's flock
         // stays on the orphaned inode and a fresh claim file takes
-        // the name.
-        std::ifstream in(path);
-        std::string word;
-        std::int64_t expires = 0;
-        bool parsed = false;
-        while (in >> word) {
-            if (word == "expires" && (in >> expires)) {
-                parsed = true;
-                break;
-            }
-        }
+        // the name. A record that does not parse is never evicted.
+        const std::optional<std::uint64_t> expires =
+            readClaimExpiry(path);
         ::close(fd);
-        if (parsed && expires < wallClockEpochSeconds()) {
+        if (expires && *expires < static_cast<std::uint64_t>(
+                                      wallClockEpochSeconds())) {
             ::unlink(path.c_str());
             {
                 MutexLock lock(mutex);

@@ -1,6 +1,7 @@
 /**
  * @file
- * Shared on-disk result store for cross-process sweep execution.
+ * Shared on-disk result store: the one persistence tier below
+ * ResultCache, for one process or many.
  *
  * Any number of processes -- sweeps, workers, serve sessions, on one
  * machine or many sharing a filesystem -- may point at the same store
@@ -14,23 +15,25 @@
  * Objects are sharded by the first two digest hex digits (directories
  * stay small at millions of entries) and written via temp-file +
  * atomic rename: readers see a whole entry or none. The object format
- * is "hmcsim-result v4" over the same field body ResultCache persists
- * (v3); v1-v3 entries read as clean *legacy* misses -- an old-format
+ * is an "hmcsim-result v4" header over serializeResultFields()'s
+ * body; v1-v3 entries read as clean *legacy* misses -- an old-format
  * entry can never poison a hit, it just gets re-simulated and
  * rewritten.
  *
  * Claims arbitrate who simulates an in-flight point. A claim is an
  * advisory flock(LOCK_EX) on the claim file, held for the lifetime of
- * the simulation; the file's text records the owner pid and an
- * expiry stamp (wallClockEpochSeconds() + leaseSeconds). Liveness
- * comes in two layers: a *crashed* owner's flock is released by the
- * kernel, so the next tryClaim() takes the lock over the stale record
- * (counted as stolen); a *wedged* owner that still holds the flock is
- * evicted after the lease expires by unlinking the claim path and
- * re-creating it (the dead flock stays on the orphaned inode). Claim
- * arbitration only ever changes which process simulates a point --
- * results are deterministic, so a rare double-simulation writes the
- * same bytes twice and is harmless.
+ * the simulation; the file's text is a "claim v2" record (KvWriter
+ * lines) of the owner pid and an expiry stamp
+ * (wallClockEpochSeconds() + leaseSeconds). Liveness comes in two
+ * layers: a *crashed* owner's flock is released by the kernel, so the
+ * next tryClaim() takes the lock over the stale record (counted as
+ * stolen); a *wedged* owner that still holds the flock is evicted
+ * after the lease expires by unlinking the claim path and re-creating
+ * it (the dead flock stays on the orphaned inode). A held claim whose
+ * record does not parse is never evicted. Claim arbitration only ever
+ * changes which process simulates a point -- results are
+ * deterministic, so a rare double-simulation writes the same bytes
+ * twice and is harmless.
  */
 
 #ifndef HMCSIM_DIST_STORE_HH

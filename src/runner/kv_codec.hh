@@ -2,11 +2,12 @@
  * @file
  * Key-value line codec shared by every persisted text format.
  *
- * The wire form of an ExperimentConfig (dist/wire.cc) and the result
- * body of cache and store objects (runner/result_cache.cc) are both
- * a sequence of "key value...\n" lines in a fixed order. KvWriter
- * appends such lines to a std::string; KvReader walks the same text
- * as a std::string_view, strictly:
+ * The wire form of an ExperimentConfig (dist/wire.cc), the result
+ * body of store objects (runner/result_cache.cc) and the store's
+ * claim record (dist/store.cc) are each a sequence of
+ * "key value...\n" lines in a fixed order. KvWriter appends such
+ * lines to a std::string; KvReader walks the same text as a
+ * std::string_view, strictly:
  *
  *  - keys must appear in the order given, each followed by exactly
  *    one space per value and a terminating '\n';
@@ -81,7 +82,7 @@ class KvWriter
         char buf[24];
         buf[0] = ' ';
         const auto res = std::to_chars(buf + 1, buf + sizeof(buf), v);
-        out.append(buf, res.ptr);
+        out.append(buf, static_cast<std::size_t>(res.ptr - buf));
         return true;
     }
 

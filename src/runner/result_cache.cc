@@ -1,14 +1,7 @@
 // lint:file(persistence) -- on-disk results must round-trip bit-exactly: %a hexfloat only, enforced by hmcsim-lint.
 #include "runner/result_cache.hh"
 
-#include <unistd.h>
-
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
-
 #include "runner/kv_codec.hh"
-#include "sim/logging.hh"
 
 namespace hmcsim
 {
@@ -57,14 +50,6 @@ codeResult(Codec &io, Value &value)
            io.field("statDigest", value.statDigest);
 }
 
-/** v3 extends the config digest with the vault-backend id and its
- *  parameters ("hmcsim.experiment.v2"); bumping the header turns
- *  every pre-backend v2 entry on disk into a clean cache miss
- *  (re-simulated, then rewritten in v3). v2 added readLatencyP999Ns
- *  over v1. The distributed shared store writes the same field body
- *  under a v4 header (dist/store.cc). */
-constexpr std::string_view kHeader = "hmcsim-result v3";
-
 } // namespace
 
 std::string
@@ -87,8 +72,8 @@ parseResultFields(std::string_view text, CachedResult &out)
     return true;
 }
 
-ResultCache::ResultCache(std::string dir, std::size_t max_entries)
-    : dir(std::move(dir)), maxEntries(max_entries ? max_entries : 1)
+ResultCache::ResultCache(std::size_t max_entries)
+    : maxEntries(max_entries ? max_entries : 1)
 {
 }
 
@@ -96,15 +81,6 @@ ResultCache::ResultCache(ResultStorage &storage,
                          std::size_t max_entries)
     : storage(&storage), maxEntries(max_entries ? max_entries : 1)
 {
-}
-
-std::string
-ResultCache::pathFor(std::uint64_t key) const
-{
-    char name[32];
-    std::snprintf(name, sizeof(name), "%016llx.result",
-                  static_cast<unsigned long long>(key));
-    return dir + "/" + name;
 }
 
 void
@@ -123,23 +99,6 @@ ResultCache::insertLocked(std::uint64_t key, const CachedResult &value)
         entries.erase(lru.back());
         lru.pop_back();
     }
-}
-
-std::optional<CachedResult>
-ResultCache::loadFromDir(std::uint64_t key)
-{
-    std::string text;
-    if (!readTextFile(pathFor(key), text))
-        return std::nullopt;
-    if (auto value = deserialize(text))
-        return value;
-    warn("result cache: ignoring malformed entry %s",
-         pathFor(key).c_str());
-    {
-        MutexLock lock(mutex);
-        ++numCorrupt;
-    }
-    return std::nullopt;
 }
 
 std::optional<CachedResult>
@@ -164,8 +123,6 @@ ResultCache::lookup(std::uint64_t key)
     std::optional<CachedResult> loaded;
     if (storage)
         loaded = storage->load(key);
-    else if (!dir.empty())
-        loaded = loadFromDir(key);
 
     MutexLock lock(mutex);
     if (loaded) {
@@ -178,39 +135,6 @@ ResultCache::lookup(std::uint64_t key)
 }
 
 void
-ResultCache::saveToDir(std::uint64_t key, const CachedResult &value)
-{
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    const std::string path = pathFor(key);
-    // Write-to-temp + atomic rename: a reader either sees the whole
-    // entry or none of it, even if this process dies mid-write. The
-    // pid suffix keeps concurrent writers of the same key from
-    // clobbering each other's temp file.
-    const std::string tmp =
-        path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
-    {
-        std::ofstream out(tmp);
-        if (!out) {
-            warn("result cache: cannot write %s", tmp.c_str());
-            return;
-        }
-        out << serialize(value);
-        if (!out.flush()) {
-            warn("result cache: short write to %s", tmp.c_str());
-            std::filesystem::remove(tmp, ec);
-            return;
-        }
-    }
-    std::filesystem::rename(tmp, path, ec);
-    if (ec) {
-        warn("result cache: cannot rename %s -> %s", tmp.c_str(),
-             path.c_str());
-        std::filesystem::remove(tmp, ec);
-    }
-}
-
-void
 ResultCache::store(std::uint64_t key, const CachedResult &value)
 {
     {
@@ -219,8 +143,6 @@ ResultCache::store(std::uint64_t key, const CachedResult &value)
     }
     if (storage)
         storage->save(key, value);
-    else if (!dir.empty())
-        saveToDir(key, value);
 }
 
 std::uint64_t
@@ -237,38 +159,11 @@ ResultCache::misses() const
     return numMisses;
 }
 
-std::uint64_t
-ResultCache::corruptEntries() const
-{
-    MutexLock lock(mutex);
-    return numCorrupt;
-}
-
 std::size_t
 ResultCache::size() const
 {
     MutexLock lock(mutex);
     return entries.size();
-}
-
-std::string
-ResultCache::serialize(const CachedResult &value)
-{
-    std::string text;
-    KvWriter out(text);
-    out.line(kHeader);
-    codeResult(out, value);
-    return text;
-}
-
-std::optional<CachedResult>
-ResultCache::deserialize(const std::string &text)
-{
-    KvReader in(text);
-    CachedResult value;
-    if (!in.line(kHeader) || !codeResult(in, value) || !in.atEnd())
-        return std::nullopt;
-    return value;
 }
 
 } // namespace hmcsim

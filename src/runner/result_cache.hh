@@ -6,18 +6,14 @@
  * the full configuration (pattern, mix, size, mode, ports, windows,
  * seed, device, calibration) hashes identically. The cache keeps a
  * bounded in-memory LRU map and, below it, an optional persistence
- * tier: either the classic flat directory of <digest>.result text
- * files, or any ResultStorage implementation (the distributed shared
- * store in dist/store.hh plugs in here), so a re-run of a bench suite
- * or sweep skips already-measured points across processes.
+ * tier: any ResultStorage implementation. The one on-disk tier is
+ * dist/store.hh's SharedResultStore, so a re-run of a bench suite or
+ * sweep skips already-measured points across processes.
  *
- * The on-disk format round-trips doubles as C99 hex floats (%a), so a
- * cache hit is bit-identical to the original measurement -- the
- * determinism contract (serial == parallel == cached) survives
- * persistence. Writes go to a temporary file and land via atomic
- * rename, so a concurrent or crashed writer can never leave a
- * half-written entry behind; a truncated or otherwise malformed entry
- * is skipped as a clean miss and counted, never trusted.
+ * Persisted results share one field body (serializeResultFields):
+ * doubles round-trip as C99 hex floats (%a), so a storage hit is
+ * bit-identical to the original measurement -- the determinism
+ * contract (serial == parallel == cached) survives persistence.
  *
  * Thread safety: all public members are safe to call concurrently;
  * the sweep runner's workers share one instance. Persistence I/O runs
@@ -81,19 +77,13 @@ class ResultStorage
 class ResultCache
 {
   public:
-    /**
-     * @param dir Persistence directory; empty = in-memory only. The
-     *        directory is created on first store if missing.
-     * @param max_entries In-memory LRU capacity (disk files are never
-     *        evicted).
-     */
-    explicit ResultCache(std::string dir = "",
-                         std::size_t max_entries = 4096);
+    /** In-memory only. @param max_entries LRU capacity. */
+    explicit ResultCache(std::size_t max_entries = 4096);
 
     /**
-     * Back the cache with an external storage tier instead of the
-     * flat directory (e.g. dist/store.hh's SharedResultStore).
-     * @p storage must outlive the cache.
+     * Back the in-memory LRU with a persistence tier (e.g.
+     * dist/store.hh's SharedResultStore); storage entries are never
+     * evicted. @p storage must outlive the cache.
      */
     explicit ResultCache(ResultStorage &storage,
                          std::size_t max_entries = 4096);
@@ -109,23 +99,12 @@ class ResultCache
 
     std::uint64_t hits() const;
     std::uint64_t misses() const;
-    /** Malformed/truncated disk entries skipped as clean misses. */
-    std::uint64_t corruptEntries() const;
     /** Entries currently resident in memory. */
     std::size_t size() const;
-
-    /** Canonical text serialization (exposed for tests/tooling). */
-    static std::string serialize(const CachedResult &value);
-    /** Parse serialize() output; nullopt on malformed input. */
-    static std::optional<CachedResult>
-    deserialize(const std::string &text);
 
   private:
     void insertLocked(std::uint64_t key, const CachedResult &value)
         REQUIRES(mutex);
-    std::string pathFor(std::uint64_t key) const;
-    std::optional<CachedResult> loadFromDir(std::uint64_t key);
-    void saveToDir(std::uint64_t key, const CachedResult &value);
 
     struct Entry
     {
@@ -135,8 +114,6 @@ class ResultCache
 
     mutable Mutex mutex;
     /** Immutable after construction; safe to read without the lock. */
-    std::string dir;
-    /** Immutable after construction; external persistence tier. */
     ResultStorage *storage = nullptr;
     std::size_t maxEntries;
     std::unordered_map<std::uint64_t, Entry> entries GUARDED_BY(mutex);
@@ -144,7 +121,6 @@ class ResultCache
     std::list<std::uint64_t> lru GUARDED_BY(mutex);
     std::uint64_t numHits GUARDED_BY(mutex) = 0;
     std::uint64_t numMisses GUARDED_BY(mutex) = 0;
-    std::uint64_t numCorrupt GUARDED_BY(mutex) = 0;
 };
 
 } // namespace hmcsim

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <fcntl.h>
+#include <sys/file.h>
 #include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -402,6 +403,13 @@ TEST(SharedStore, LegacyAndCorruptEntriesAreCleanMisses)
     EXPECT_EQ(counters.corrupt, 2u);
     EXPECT_EQ(counters.hits, 0u);
 
+    // Through a ResultCache the same entries are plain misses: a sweep
+    // re-simulates them, never aborts, never hits.
+    ResultCache cache(store);
+    for (std::uint64_t key = 1; key <= 5; ++key)
+        EXPECT_FALSE(cache.lookup(key).has_value()) << key;
+    EXPECT_EQ(cache.hits(), 0u);
+
     // A rewritten entry is served normally afterwards.
     store.save(3, storedResult(9.0));
     EXPECT_TRUE(store.load(3).has_value());
@@ -546,6 +554,48 @@ TEST(SharedStore, EvictsExpiredClaimOfWedgedOwner)
     std::filesystem::remove_all(dir);
 }
 
+TEST(SharedStore, MalformedClaimRecordUnderLiveFlockIsBusy)
+{
+    const std::filesystem::path dir =
+        freshDir("hmcsim_test_store_badclaim");
+    SharedResultStore store({dir.string(), 300});
+    const std::string path = store.claimPath(44);
+
+    // A live owner: this descriptor holds the flock, which conflicts
+    // with the store's own open of the claim file.
+    const int owner = ::open(path.c_str(), O_RDWR | O_CREAT, 0644);
+    ASSERT_GE(owner, 0);
+    ASSERT_EQ(::flock(owner, LOCK_EX | LOCK_NB), 0);
+    const auto stamp = [&path](const std::string &record) {
+        std::ofstream(path, std::ios::trunc) << record;
+    };
+
+    // Every stamp is long expired, but none parses: an owner mid-write
+    // or a junk record is honoured as live, never evicted.
+    for (const std::string record :
+         {"", "claim v2\npid 1\nexpires 12junk\n",
+          "claim v2\npid 1\nexpires -12\n",
+          "claim v2\nexpires 12\npid 1\n",
+          "claim v2\npid 1\nexpires 12\ntrailing\n",
+          "claim v1 pid 1 expires 12\n"}) {
+        stamp(record);
+        EXPECT_EQ(store.tryClaim(44),
+                  SharedResultStore::ClaimOutcome::Busy)
+            << record;
+        EXPECT_TRUE(std::filesystem::exists(path)) << record;
+    }
+    EXPECT_EQ(store.counters().claimsStolen, 0u);
+
+    // The same expired stamp, well formed, is evicted.
+    stamp("claim v2\npid 1\nexpires 12\n");
+    EXPECT_EQ(store.tryClaim(44),
+              SharedResultStore::ClaimOutcome::Acquired);
+    EXPECT_EQ(store.counters().claimsStolen, 1u);
+    store.releaseClaim(44);
+    ::close(owner);
+    std::filesystem::remove_all(dir);
+}
+
 TEST(ClaimedStorage, WaitsOutLiveClaimantAndReturnsTheirResult)
 {
     const std::filesystem::path dir =
@@ -591,46 +641,6 @@ TEST(ClaimedStorage, NulloptMeansCallerOwnsThePoint)
     EXPECT_EQ(probe.tryClaim(66),
               SharedResultStore::ClaimOutcome::Acquired);
     probe.releaseClaim(66);
-    std::filesystem::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------
-// Cache-dir crash safety (ResultCache satellite)
-// ---------------------------------------------------------------------
-
-TEST(ResultCacheDir, SkipsCorruptAndLegacyEntriesCleanly)
-{
-    const std::filesystem::path dir =
-        freshDir("hmcsim_test_cache_corrupt");
-    std::filesystem::create_directories(dir);
-
-    char name[32];
-    const auto plant = [&dir, &name](std::uint64_t key,
-                                     const std::string &text) {
-        std::snprintf(name, sizeof(name), "%016llx.result",
-                      static_cast<unsigned long long>(key));
-        std::ofstream(dir / name) << text;
-    };
-    plant(2, "hmcsim-result v2\npattern x\n");       // legacy
-    plant(3, "hmcsim-result v3\npattern only\n");    // truncated
-    plant(4, "garbage that is not an entry\n");      // corrupt
-
-    ResultCache cache(dir.string());
-    cache.store(1, storedResult(4.0));
-    EXPECT_TRUE(cache.lookup(1).has_value());
-
-    // Bad entries are misses -- the sweep re-simulates -- never
-    // aborts, never hits.
-    EXPECT_FALSE(cache.lookup(2).has_value());
-    EXPECT_FALSE(cache.lookup(3).has_value());
-    EXPECT_FALSE(cache.lookup(4).has_value());
-    EXPECT_GE(cache.corruptEntries(), 2u);
-
-    // No temp droppings from the atomic-rename write path.
-    for (const auto &entry : std::filesystem::directory_iterator(dir))
-        EXPECT_EQ(entry.path().string().find(".tmp."),
-                  std::string::npos)
-            << entry.path();
     std::filesystem::remove_all(dir);
 }
 

@@ -90,8 +90,8 @@ TEST_P(MapperUniformity, BankLocalAddressesNeverExceedBankSize)
 std::string
 mapperName(const ::testing::TestParamInfo<MapperParam> &info)
 {
-    std::string name =
-        "B" + std::to_string(static_cast<unsigned>(info.param.maxBlock));
+    std::string name = "B";
+    name += std::to_string(static_cast<unsigned>(info.param.maxBlock));
     switch (info.param.scheme) {
       case MappingScheme::VaultFirst:
         name += "_vaultfirst";

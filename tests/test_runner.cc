@@ -2,7 +2,7 @@
  * @file
  * Tests for the parallel sweep orchestration subsystem (src/runner/):
  * thread-pool execution and exception propagation, config-digest
- * stability/sensitivity, result-cache hit/miss/eviction and disk
+ * stability/sensitivity, result-cache hit/miss/eviction and store
  * round trips, and the headline determinism contract -- a 12-point
  * sweep at --jobs 1 and --jobs 8 produces bit-identical
  * MeasurementResult values and identical StatRegistry digests.
@@ -18,6 +18,7 @@
 #include <set>
 #include <stdexcept>
 
+#include "dist/store.hh"
 #include "runner/config_digest.hh"
 #include "runner/result_cache.hh"
 #include "runner/sink.hh"
@@ -263,7 +264,7 @@ TEST(ResultCache, HitMissAccounting)
 
 TEST(ResultCache, EvictsLeastRecentlyUsed)
 {
-    ResultCache cache("", 3);
+    ResultCache cache(3);
     cache.store(1, fakeResult(1.0));
     cache.store(2, fakeResult(2.0));
     cache.store(3, fakeResult(3.0));
@@ -284,27 +285,26 @@ TEST(ResultCache, SerializationRoundTripsBitExactly)
     value.result.writeMrps = -0.0;
     value.result.readLatencyP99Ns = 1234.5678901234567;
     value.result.readLatencyP999Ns = 9876.5432109876543;
-    const auto parsed =
-        ResultCache::deserialize(ResultCache::serialize(value));
-    ASSERT_TRUE(parsed.has_value());
-    EXPECT_TRUE(bitIdentical(parsed->result, value.result));
-    EXPECT_EQ(parsed->statDigest, value.statDigest);
+    const std::string text = serializeResultFields(value);
+    CachedResult parsed;
+    ASSERT_TRUE(parseResultFields(text, parsed));
+    EXPECT_TRUE(bitIdentical(parsed.result, value.result));
+    EXPECT_EQ(parsed.statDigest, value.statDigest);
 
-    EXPECT_FALSE(ResultCache::deserialize("garbage").has_value());
-    // Pre-p999 (v1) entries on disk are rejected as clean misses.
+    // Garbage, a truncated body and a body still behind its object
+    // header are rejected, and leave the output unchanged.
+    EXPECT_FALSE(parseResultFields("garbage", parsed));
     EXPECT_FALSE(
-        ResultCache::deserialize("hmcsim-result v1\nnope").has_value());
-    // Pre-backend (v2) entries carry digests from the v1 config
-    // serialization; they too must become clean misses.
-    EXPECT_FALSE(
-        ResultCache::deserialize("hmcsim-result v2\nnope").has_value());
+        parseResultFields(text.substr(0, text.size() / 2), parsed));
+    EXPECT_FALSE(parseResultFields("hmcsim-result v4\n" + text, parsed));
+    EXPECT_TRUE(bitIdentical(parsed.result, value.result));
 }
 
-TEST(ResultCache, FieldBytesAreByteIdenticalToTheV3Body)
+TEST(ResultCache, FieldBytesMatchTheRecordedBody)
 {
-    // Recorded from the stream-based codec this one replaced: cache
-    // and store objects written by older builds must keep parsing,
-    // and new ones must read back in older builds.
+    // Recorded from the stream-based codec this one replaced: store
+    // objects written by older builds must keep parsing, and new ones
+    // must read back in older builds.
     CachedResult value = fakeResult(21.337);
     value.result.mix = RequestMix::ReadModifyWrite;
     value.result.mrps = 0.1;
@@ -329,8 +329,6 @@ TEST(ResultCache, FieldBytesAreByteIdenticalToTheV3Body)
         "readLatencyP999Ns 0x0.0000000000001p-1022\n"
         "statDigest 16045690984503111693\n";
     EXPECT_EQ(serializeResultFields(value), expected);
-    EXPECT_EQ(ResultCache::serialize(value),
-              "hmcsim-result v3\n" + expected);
 
     CachedResult back;
     ASSERT_TRUE(parseResultFields(expected, back));
@@ -346,13 +344,16 @@ TEST(ResultCache, PersistsAcrossInstances)
     std::filesystem::remove_all(dir);
 
     {
-        ResultCache cache(dir.string());
+        SharedResultStore store({dir.string(), 300});
+        ResultCache cache(store);
         cache.store(42, fakeResult(9.5));
     }
-    ResultCache fresh(dir.string());
+    SharedResultStore store({dir.string(), 300});
+    ResultCache fresh(store);
     const auto hit = fresh.lookup(42);
     ASSERT_TRUE(hit.has_value());
     EXPECT_TRUE(bitIdentical(hit->result, fakeResult(9.5).result));
+    EXPECT_EQ(store.counters().hits, 1u);
     std::filesystem::remove_all(dir);
 }
 

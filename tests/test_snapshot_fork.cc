@@ -16,6 +16,7 @@
 #include <thread>
 #include <vector>
 
+#include "dist/store.hh"
 #include "host/experiment.hh"
 #include "runner/config_digest.hh"
 #include "runner/result_cache.hh"
@@ -170,25 +171,29 @@ TEST(SnapshotFork, WarmSweepComposesWithResultCache)
     const std::filesystem::path dir =
         std::filesystem::temp_directory_path() / "hmcsim_fork_cache";
     std::filesystem::remove_all(dir);
-    ResultCache cache(dir.string());
+    SharedResultStore store({dir.string(), 300});
+    ResultCache cache(store);
     const SweepAxes axes = warmableAxes(BackendKind::HmcDram);
 
     const auto cold = sweepDigests(axes, false, 2);
     const auto warm_fill = sweepDigests(axes, true, 2, &cache);
     EXPECT_EQ(cold, warm_fill);
 
-    // Second pass: every point served from the cache, same digests.
+    // Second pass through a fresh cache: every point served from the
+    // store, same digests.
+    ResultCache reread(store);
     SweepOptions opts;
     opts.jobs = 2;
     opts.warmStart = true;
     opts.deriveSeeds = false;
-    opts.cache = &cache;
+    opts.cache = &reread;
     SweepRunner runner(opts);
     const auto results = runner.run(axes);
     for (std::size_t i = 0; i < results.size(); ++i) {
         EXPECT_TRUE(results[i].fromCache) << i;
         EXPECT_EQ(results[i].statDigest, cold[i]) << i;
     }
+    EXPECT_EQ(store.counters().hits, results.size());
     std::filesystem::remove_all(dir);
 }
 

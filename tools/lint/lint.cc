@@ -83,8 +83,8 @@ ruleTable()
          "decimal float formatting rounds; persisted results must "
          "round-trip bit-exactly or a cache hit diverges from the "
          "original measurement (docs/runner.md)",
-         "print doubles with %a (C99 hexfloat) and parse with "
-         "strtod, as ResultCache::serialize does"},
+         "write and read doubles through runner/kv_codec.hh's "
+         "KvWriter/KvReader, which use %a (C99 hexfloat)"},
         {"deprecated-ddr-entry", "",
          "call to a deprecated standalone DDR baseline entry point "
          "(measureDdrPattern / runDdrBaselineExperiment)",
