@@ -29,8 +29,8 @@
 #include <fstream>
 #include <iostream>
 #include <memory>
-#include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dist/coordinator.hh"
@@ -38,13 +38,14 @@
 #include "dist/worker.hh"
 #include "host/experiment.hh"
 #include "host/trace_replay.hh"
-#include "mem/backend.hh"
+#include "runner/experiment_keys.hh"
 #include "runner/result_cache.hh"
 #include "runner/sink.hh"
 #include "runner/sweep.hh"
 #include "runner/thread_pool.hh"
 #include "service/fleet.hh"
 #include "sim/stat_registry.hh"
+#include "sim/text.hh"
 #include "trace/lifecycle.hh"
 #include "trace/trace_sink.hh"
 
@@ -83,6 +84,9 @@ printHelp(std::FILE *out)
         "                             docs/backends.md)\n"
         "  --seed S                   experiment/campaign seed "
         "(default 1)\n"
+        "  values: integers are plain decimal (no sign, no leading zero,\n"
+        "  no hex or octal); reals such as 1e-12 must be finite. A bad\n"
+        "  value exits 2 with one line naming the key.\n"
         "\n"
         "run options:\n"
         "  --cooling 1..4             Table III config     (default 1)\n"
@@ -176,109 +180,60 @@ next(int argc, char **argv, int &i)
     return argv[i];
 }
 
-std::vector<std::string>
-splitCommas(const std::string &list)
+/** A malformed value: one line naming the key, exit 2, no help. */
+[[noreturn]] void
+badInput(const std::string &error)
 {
-    std::vector<std::string> out;
-    std::istringstream in(list);
-    std::string item;
-    while (std::getline(in, item, ','))
-        out.push_back(item);
-    return out;
+    std::fprintf(stderr, "hmcsim_cli: %s\n", error.c_str());
+    std::exit(2);
 }
 
-/** Experiment flags every subcommand accepts, plus the pattern
- *  selection that resolves to cfg.pattern once parsing is done. */
-struct ExperimentFlags
+/** The value of the numeric flag at argv[i], read by the key table's
+ *  number rules (plain decimal that fits @p T). */
+template <typename T>
+T
+flagNumber(int argc, char **argv, int &i)
 {
-    ExperimentConfig cfg;
-    unsigned vaults = 16;
-    unsigned banks = 0;
-
-    /** Resolve --vaults/--banks into cfg.pattern. */
-    void
-    resolvePattern()
-    {
-        const AddressMapper mapper(cfg.device.structure,
-                                   cfg.device.maxBlock, 256,
-                                   cfg.device.mapping);
-        cfg.pattern = banks ? bankPattern(mapper, banks)
-                            : vaultPattern(mapper, vaults);
-    }
-};
+    const std::string flag = argv[i];
+    const char *text = next(argc, argv, i);
+    T value{};
+    if (const char *why = parseKeyNumber(text, value))
+        badInput(flag + " '" + text + "' " + why);
+    return value;
+}
 
 /**
  * The shared flag-parsing helper: consume one experiment flag at
- * argv[i]. Returns false (leaving @p i untouched) when the flag
- * belongs to the calling subcommand instead.
+ * argv[i] through the key table. Returns false (leaving @p i
+ * untouched) when the flag belongs to the calling subcommand instead.
  */
 bool
-parseExperimentFlag(ExperimentFlags &f, int argc, char **argv, int &i)
+parseExperimentFlag(ExperimentKeys &keys, int argc, char **argv, int &i)
 {
-    const std::string arg = argv[i];
-    if (arg == "--mix") {
-        const std::string mix = next(argc, argv, i);
-        if (mix == "ro")
-            f.cfg.mix = RequestMix::ReadOnly;
-        else if (mix == "wo")
-            f.cfg.mix = RequestMix::WriteOnly;
-        else if (mix == "rw")
-            f.cfg.mix = RequestMix::ReadModifyWrite;
-        else if (mix == "atomic")
-            f.cfg.mix = RequestMix::Atomic;
-        else
-            usage();
-    } else if (arg == "--size") {
-        f.cfg.requestSize =
-            std::strtoull(next(argc, argv, i), nullptr, 0);
-    } else if (arg == "--vaults") {
-        f.vaults = static_cast<unsigned>(
-            std::strtoul(next(argc, argv, i), nullptr, 0));
-        f.banks = 0;
-    } else if (arg == "--banks") {
-        f.banks = static_cast<unsigned>(
-            std::strtoul(next(argc, argv, i), nullptr, 0));
-    } else if (arg == "--ports") {
-        f.cfg.numPorts = static_cast<unsigned>(
-            std::strtoul(next(argc, argv, i), nullptr, 0));
-    } else if (arg == "--linear") {
-        f.cfg.mode = AddressingMode::Linear;
-    } else if (arg == "--measure-us") {
-        f.cfg.measure =
-            std::strtoull(next(argc, argv, i), nullptr, 0) * tickUs;
-    } else if (arg == "--warmup-us") {
-        f.cfg.warmup =
-            std::strtoull(next(argc, argv, i), nullptr, 0) * tickUs;
-    } else if (arg == "--maxblock") {
-        f.cfg.device.maxBlock = static_cast<MaxBlockSize>(
-            std::strtoul(next(argc, argv, i), nullptr, 0));
-    } else if (arg == "--mapping") {
-        const std::string scheme = next(argc, argv, i);
-        if (scheme == "vault")
-            f.cfg.device.mapping = MappingScheme::VaultFirst;
-        else if (scheme == "bank")
-            f.cfg.device.mapping = MappingScheme::BankFirst;
-        else if (scheme == "contig")
-            f.cfg.device.mapping = MappingScheme::ContiguousVault;
-        else
-            usage();
-    } else if (arg == "--ber") {
-        f.cfg.controller.bitErrorRate =
-            std::strtod(next(argc, argv, i), nullptr);
-    } else if (arg == "--refresh") {
-        f.cfg.device.vault.refreshEnabled = true;
-        f.cfg.device.vault.refreshMultiplier =
-            std::strtod(next(argc, argv, i), nullptr);
-    } else if (arg == "--backend") {
-        if (!parseBackendKind(next(argc, argv, i),
-                              f.cfg.device.vault.backend.kind))
-            usage();
-    } else if (arg == "--seed") {
-        f.cfg.seed = std::strtoull(next(argc, argv, i), nullptr, 0);
-    } else {
-        return false;
+    const std::string_view arg = argv[i];
+    if (arg == "--linear") { // the flag spelling of mode=linear
+        keys.cfg.mode = AddressingMode::Linear;
+        return true;
     }
+    const ExperimentKey *key = findExperimentKey(arg, FlagKey);
+    if (!key)
+        return false;
+    std::string error;
+    if (!setExperimentKey(*key, keys, next(argc, argv, i), error))
+        badInput(error);
     return true;
+}
+
+/** The config of a one-experiment command (run, selfcheck, trace),
+ *  where --seed is the experiment seed; exits 2 if it is invalid. */
+ExperimentConfig
+resolveExperiment(ExperimentKeys keys)
+{
+    keys.cfg.seed = keys.seed;
+    std::string error;
+    if (!resolveExperimentKeys(keys, error))
+        badInput(error);
+    return keys.cfg;
 }
 
 /** Tracing flags shared by run, sweep, and trace. */
@@ -295,8 +250,7 @@ parseTraceFlag(TraceFlags &t, int argc, char **argv, int &i)
     if (arg == "--trace-out") {
         t.outPath = next(argc, argv, i);
     } else if (arg == "--trace-sample") {
-        t.samplePeriod =
-            std::strtoull(next(argc, argv, i), nullptr, 0);
+        t.samplePeriod = flagNumber<std::uint64_t>(argc, argv, i);
     } else {
         return false;
     }
@@ -344,13 +298,11 @@ printStageTable(std::FILE *out, const StageBreakdown &b)
 }
 
 int
-runSelfCheck(ExperimentFlags flags)
+reportSelfCheck(ExperimentConfig cfg)
 {
     // Two back-to-back runs of the configured workload must be
     // bit-identical; keep the window short, the point is identity
     // rather than statistics.
-    flags.resolvePattern();
-    ExperimentConfig cfg = flags.cfg;
     cfg.warmup = 10 * tickUs;
     if (cfg.measure > 100 * tickUs)
         cfg.measure = 100 * tickUs;
@@ -374,28 +326,28 @@ runSelfCheck(ExperimentFlags flags)
 int
 runSelfCheckCommand(int argc, char **argv, int first)
 {
-    ExperimentFlags flags;
+    ExperimentKeys keys;
     for (int i = first; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--help" || arg == "-h") {
             printHelp(stdout);
             return 0;
         }
-        if (!parseExperimentFlag(flags, argc, argv, i))
+        if (!parseExperimentFlag(keys, argc, argv, i))
             usage();
     }
-    return runSelfCheck(flags);
+    return reportSelfCheck(resolveExperiment(keys));
 }
 
 /** The `trace` subcommand: one traced run, stage table + JSON. */
 int
 runTraceCommand(int argc, char **argv, int first)
 {
-    ExperimentFlags flags;
+    ExperimentKeys keys;
     // Tracing wants a short window: 100 us of full-scale GUPS already
     // records thousands of lifecycles.
-    flags.cfg.warmup = 10 * tickUs;
-    flags.cfg.measure = 100 * tickUs;
+    keys.cfg.warmup = 10 * tickUs;
+    keys.cfg.measure = 100 * tickUs;
     TraceFlags trace;
     trace.outPath = "-";
 
@@ -411,10 +363,10 @@ runTraceCommand(int argc, char **argv, int first)
         }
         if (parseTraceFlag(trace, argc, argv, i))
             continue;
-        if (!parseExperimentFlag(flags, argc, argv, i))
+        if (!parseExperimentFlag(keys, argc, argv, i))
             usage();
     }
-    flags.resolvePattern();
+    const ExperimentConfig cfg = resolveExperiment(keys);
 
     ChromeTraceBuffer buffer;
     RunOptions opts;
@@ -422,8 +374,7 @@ runTraceCommand(int argc, char **argv, int first)
     opts.trace.samplePeriod = trace.samplePeriod;
     opts.trace.sink = &buffer;
     RunArtifacts artifacts;
-    const MeasurementResult m =
-        runExperiment(flags.cfg, opts, &artifacts);
+    const MeasurementResult m = runExperiment(cfg, opts, &artifacts);
 
     std::ofstream file;
     std::ostream *out = openOut(trace.outPath, file);
@@ -434,7 +385,7 @@ runTraceCommand(int argc, char **argv, int first)
     std::fprintf(stderr, "pattern      : %s (%s, %llu B, %u ports)\n",
                  m.patternName.c_str(), requestMixName(m.mix),
                  static_cast<unsigned long long>(m.requestSize),
-                 flags.cfg.numPorts);
+                 cfg.numPorts);
     std::fprintf(stderr, "raw bandwidth: %.2f GB/s  (%.1f MRPS)\n",
                  m.rawGBps, m.mrps);
     printStageTable(stderr, m.stages);
@@ -454,12 +405,10 @@ runTraceCommand(int argc, char **argv, int first)
 int
 runSweepCommand(int argc, char **argv, int first)
 {
-    SweepAxes axes;
     SweepOptions opts;
-    ExperimentFlags base;
+    ExperimentKeys base;
     TraceFlags trace;
-    std::vector<unsigned> vaultAxis;
-    std::vector<unsigned> bankAxis;
+    std::vector<std::string> axisSpecs;
     std::string outPath;
     std::string csvPath;
     std::string storeDir;
@@ -475,11 +424,7 @@ runSweepCommand(int argc, char **argv, int first)
             return 0;
         }
         if (arg == "--jobs") {
-            opts.jobs = static_cast<unsigned>(
-                std::strtoul(next(argc, argv, i), nullptr, 0));
-        } else if (arg == "--seed") {
-            opts.sweepSeed =
-                std::strtoull(next(argc, argv, i), nullptr, 0);
+            opts.jobs = flagNumber<unsigned>(argc, argv, i);
         } else if (arg == "--out") {
             outPath = next(argc, argv, i);
         } else if (arg == "--csv-out") {
@@ -497,77 +442,17 @@ runSweepCommand(int argc, char **argv, int first)
         } else if (parseTraceFlag(trace, argc, argv, i)) {
             // handled
         } else if (arg == "--axis") {
-            const std::string spec = next(argc, argv, i);
-            const std::size_t eq = spec.find('=');
-            if (eq == std::string::npos)
-                usage();
-            const std::string key = spec.substr(0, eq);
-            const std::vector<std::string> values =
-                splitCommas(spec.substr(eq + 1));
-            if (values.empty())
-                usage();
-            for (const std::string &value : values) {
-                if (key == "vaults") {
-                    vaultAxis.push_back(static_cast<unsigned>(
-                        std::strtoul(value.c_str(), nullptr, 0)));
-                } else if (key == "banks") {
-                    bankAxis.push_back(static_cast<unsigned>(
-                        std::strtoul(value.c_str(), nullptr, 0)));
-                } else if (key == "size") {
-                    axes.sizes.push_back(
-                        std::strtoull(value.c_str(), nullptr, 0));
-                } else if (key == "ports") {
-                    axes.ports.push_back(static_cast<unsigned>(
-                        std::strtoul(value.c_str(), nullptr, 0)));
-                } else if (key == "mix") {
-                    if (value == "ro")
-                        axes.mixes.push_back(RequestMix::ReadOnly);
-                    else if (value == "wo")
-                        axes.mixes.push_back(RequestMix::WriteOnly);
-                    else if (value == "rw")
-                        axes.mixes.push_back(
-                            RequestMix::ReadModifyWrite);
-                    else if (value == "atomic")
-                        axes.mixes.push_back(RequestMix::Atomic);
-                    else
-                        usage();
-                } else if (key == "mode") {
-                    if (value == "random")
-                        axes.modes.push_back(AddressingMode::Random);
-                    else if (value == "linear")
-                        axes.modes.push_back(AddressingMode::Linear);
-                    else
-                        usage();
-                } else if (key == "backend") {
-                    BackendKind kind;
-                    if (!parseBackendKind(value, kind))
-                        usage();
-                    axes.backends.push_back(kind);
-                } else if (key == "measure_us") {
-                    axes.measures.push_back(
-                        std::strtoull(value.c_str(), nullptr, 0) *
-                        tickUs);
-                } else {
-                    usage();
-                }
-            }
+            axisSpecs.push_back(next(argc, argv, i));
         } else if (parseExperimentFlag(base, argc, argv, i)) {
             // Experiment flags season every point's base config.
         } else {
             usage();
         }
     }
-    axes.base = base.cfg;
-
-    const AddressMapper mapper(axes.base.device.structure,
-                               axes.base.device.maxBlock, 256,
-                               axes.base.device.mapping);
-    for (const unsigned vaults : vaultAxis)
-        axes.patterns.push_back(vaultPattern(mapper, vaults));
-    for (const unsigned banks : bankAxis)
-        axes.patterns.push_back(bankPattern(mapper, banks));
-    if (axes.patterns.empty())
-        axes.patterns = paperPatternAxis(mapper);
+    SweepAxes axes;
+    if (std::string error; !buildSweepAxes(base, axisSpecs, axes, error))
+        badInput(error);
+    opts.sweepSeed = base.seed;
 
     std::unique_ptr<SharedResultStore> store;
     std::unique_ptr<ClaimedResultStorage> claimed;
@@ -688,19 +573,15 @@ runWorkerCommand(int argc, char **argv, int first)
         if (arg == "--connect") {
             opts.connectSpec = next(argc, argv, i);
         } else if (arg == "--jobs") {
-            opts.jobs = static_cast<unsigned>(
-                std::strtoul(next(argc, argv, i), nullptr, 0));
+            opts.jobs = flagNumber<unsigned>(argc, argv, i);
         } else if (arg == "--store") {
             opts.storeDir = next(argc, argv, i);
         } else if (arg == "--batch") {
-            opts.batch = static_cast<unsigned>(
-                std::strtoul(next(argc, argv, i), nullptr, 0));
+            opts.batch = flagNumber<unsigned>(argc, argv, i);
         } else if (arg == "--throttle-ms") {
-            opts.throttleMs = static_cast<unsigned>(
-                std::strtoul(next(argc, argv, i), nullptr, 0));
+            opts.throttleMs = flagNumber<unsigned>(argc, argv, i);
         } else if (arg == "--die-after") {
-            opts.dieAfter = static_cast<int>(
-                std::strtol(next(argc, argv, i), nullptr, 0));
+            opts.dieAfter = flagNumber<int>(argc, argv, i);
         } else {
             usage();
         }
@@ -716,7 +597,7 @@ runWorkerCommand(int argc, char **argv, int first)
 int
 runRunCommand(int argc, char **argv, int first)
 {
-    ExperimentFlags flags;
+    ExperimentKeys keys;
     TraceFlags trace;
     unsigned cooling = 1;
     bool csv = false;
@@ -734,8 +615,7 @@ runRunCommand(int argc, char **argv, int first)
             return 0;
         }
         if (arg == "--cooling") {
-            cooling = static_cast<unsigned>(
-                std::strtoul(next(argc, argv, i), nullptr, 0));
+            cooling = flagNumber<unsigned>(argc, argv, i);
         } else if (arg == "--csv") {
             csv = true;
         } else if (arg == "--out") {
@@ -750,19 +630,19 @@ runRunCommand(int argc, char **argv, int first)
         } else if (arg == "--trace") {
             replay_file = next(argc, argv, i);
         } else if (arg == "--window") {
-            replay_window = static_cast<unsigned>(
-                std::strtoul(next(argc, argv, i), nullptr, 0));
+            replay_window = flagNumber<unsigned>(argc, argv, i);
         } else if (parseTraceFlag(trace, argc, argv, i)) {
             // handled
-        } else if (!parseExperimentFlag(flags, argc, argv, i)) {
+        } else if (!parseExperimentFlag(keys, argc, argv, i)) {
             usage();
         }
     }
 
+    const ExperimentConfig cfg = resolveExperiment(keys);
+    if (!validCoolingIndex(cooling))
+        badInput("cooling " + std::to_string(cooling) + " must be 1..4");
     if (selfcheck)
-        return runSelfCheck(flags);
-
-    ExperimentConfig &cfg = flags.cfg;
+        return reportSelfCheck(cfg);
 
     if (!replay_file.empty()) {
         std::ifstream in(replay_file);
@@ -793,18 +673,7 @@ runRunCommand(int argc, char **argv, int first)
     if (dump_stats) {
         // Run the configured workload on a raw module and dump every
         // registered counter.
-        flags.resolvePattern();
-        Ac510Config sys;
-        sys.numPorts = cfg.numPorts;
-        sys.port.mix = cfg.mix;
-        sys.port.requestSize = cfg.requestSize;
-        sys.port.mode = cfg.mode;
-        sys.port.mask = cfg.pattern.mask;
-        sys.port.antiMask = cfg.pattern.antiMask;
-        sys.device = cfg.device;
-        sys.controller = cfg.controller;
-        sys.seed = cfg.seed;
-        Ac510Module module(sys);
+        Ac510Module module(makeSystemConfig(cfg));
         StatRegistry registry;
         module.registerStats(registry, StatPath("system"));
         module.start();
@@ -817,8 +686,6 @@ runRunCommand(int argc, char **argv, int first)
         }
         return 0;
     }
-
-    flags.resolvePattern();
 
     const bool tracing = !trace.outPath.empty();
     ChromeTraceBuffer buffer;
@@ -900,111 +767,31 @@ runRunCommand(int argc, char **argv, int first)
     return 0;
 }
 
-/** Split a request line into whitespace-separated tokens. */
-std::vector<std::string>
-splitTokens(const std::string &line)
-{
-    std::vector<std::string> out;
-    std::istringstream in(line);
-    std::string token;
-    while (in >> token)
-        out.push_back(token);
-    return out;
-}
-
-/** Split "key=value"; false when there is no '='. */
-bool
-splitKeyValue(const std::string &token, std::string &key,
-              std::string &value)
-{
-    const std::size_t eq = token.find('=');
-    if (eq == std::string::npos)
-        return false;
-    key = token.substr(0, eq);
-    value = token.substr(eq + 1);
-    return true;
-}
-
 /**
  * One `sweep` request: a single campaign point run through the same
  * SweepRunner path as the batch subcommand (same derived seed, same
- * cache key, same JSONL bytes), streamed through @p sink.
+ * cache key, same JSONL bytes), streamed through @p sink. @p args are
+ * the request's key=value words, checked through the key table before
+ * anything is built.
  */
 bool
-serveSweepRequest(const std::vector<std::string> &tokens,
-                  JsonLinesSink &sink, ResultCache *cache,
-                  unsigned jobs)
+serveSweepRequest(std::string_view args, JsonLinesSink &sink,
+                  ResultCache *cache, unsigned jobs, std::string &error)
 {
-    ExperimentFlags flags;
-    flags.cfg.warmup = 10 * tickUs;
-    flags.cfg.measure = 100 * tickUs;
-    std::uint64_t sweepSeed = 1;
-
-    for (std::size_t t = 1; t < tokens.size(); ++t) {
-        std::string key, value;
-        if (!splitKeyValue(tokens[t], key, value)) {
-            std::fprintf(stderr, "serve: bad token '%s'\n",
-                         tokens[t].c_str());
-            return false;
-        }
-        if (key == "mix") {
-            if (value == "ro")
-                flags.cfg.mix = RequestMix::ReadOnly;
-            else if (value == "wo")
-                flags.cfg.mix = RequestMix::WriteOnly;
-            else if (value == "rw")
-                flags.cfg.mix = RequestMix::ReadModifyWrite;
-            else if (value == "atomic")
-                flags.cfg.mix = RequestMix::Atomic;
-            else
-                return false;
-        } else if (key == "size") {
-            flags.cfg.requestSize =
-                std::strtoull(value.c_str(), nullptr, 0);
-        } else if (key == "vaults") {
-            flags.vaults = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 0));
-            flags.banks = 0;
-        } else if (key == "banks") {
-            flags.banks = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 0));
-        } else if (key == "ports") {
-            flags.cfg.numPorts = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 0));
-        } else if (key == "mode") {
-            if (value == "random")
-                flags.cfg.mode = AddressingMode::Random;
-            else if (value == "linear")
-                flags.cfg.mode = AddressingMode::Linear;
-            else
-                return false;
-        } else if (key == "measure_us") {
-            flags.cfg.measure =
-                std::strtoull(value.c_str(), nullptr, 0) * tickUs;
-        } else if (key == "warmup_us") {
-            flags.cfg.warmup =
-                std::strtoull(value.c_str(), nullptr, 0) * tickUs;
-        } else if (key == "backend") {
-            if (!parseBackendKind(value,
-                                  flags.cfg.device.vault.backend.kind))
-                return false;
-        } else if (key == "seed") {
-            sweepSeed = std::strtoull(value.c_str(), nullptr, 0);
-        } else {
-            std::fprintf(stderr, "serve: unknown sweep key '%s'\n",
-                         key.c_str());
-            return false;
-        }
-    }
-    flags.resolvePattern();
+    ExperimentKeys keys;
+    keys.cfg.warmup = 10 * tickUs;
+    keys.cfg.measure = 100 * tickUs;
+    if (!setExperimentKeys(keys, args, error) ||
+        !resolveExperimentKeys(keys, error))
+        return false;
 
     SweepOptions opts;
     opts.jobs = jobs;
-    opts.sweepSeed = sweepSeed;
+    opts.sweepSeed = keys.seed;
     opts.cache = cache;
     opts.sinks.push_back(&sink);
     SweepRunner runner(opts);
-    runner.run(std::vector<ExperimentConfig>{flags.cfg});
+    runner.run(std::vector<ExperimentConfig>{keys.cfg});
     return true;
 }
 
@@ -1013,77 +800,15 @@ serveSweepRequest(const std::vector<std::string> &tokens,
  * Streams one node line per node plus the aggregate line.
  */
 bool
-serveTrafficRequest(const std::vector<std::string> &tokens,
-                    std::ostream &out, unsigned jobs)
+serveTrafficRequest(std::string_view args, std::ostream &out,
+                    unsigned jobs, std::string &error)
 {
-    FleetConfig cfg;
-    cfg.jobs = jobs;
-    unsigned vaults = 16;
-
-    for (std::size_t t = 1; t < tokens.size(); ++t) {
-        std::string key, value;
-        if (!splitKeyValue(tokens[t], key, value)) {
-            std::fprintf(stderr, "serve: bad token '%s'\n",
-                         tokens[t].c_str());
-            return false;
-        }
-        if (key == "nodes") {
-            cfg.numNodes = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 0));
-        } else if (key == "requests") {
-            cfg.requests = std::strtoull(value.c_str(), nullptr, 0);
-        } else if (key == "arrival") {
-            if (!parseArrivalKind(value, cfg.arrival.kind))
-                return false;
-        } else if (key == "rate") {
-            cfg.arrival.ratePerSec = std::strtod(value.c_str(), nullptr);
-        } else if (key == "burst_rate") {
-            cfg.arrival.burstRatePerSec =
-                std::strtod(value.c_str(), nullptr);
-        } else if (key == "calm_us") {
-            cfg.arrival.meanCalmTicks =
-                std::strtoull(value.c_str(), nullptr, 0) * tickUs;
-        } else if (key == "burst_us") {
-            cfg.arrival.meanBurstTicks =
-                std::strtoull(value.c_str(), nullptr, 0) * tickUs;
-        } else if (key == "trace") {
-            if (!parseDiurnalTrace(value, cfg.arrival.trace)) {
-                std::fprintf(stderr, "serve: bad trace '%s'\n",
-                             value.c_str());
-                return false;
-            }
-        } else if (key == "router") {
-            if (!parseRouterPolicy(value, cfg.router))
-                return false;
-        } else if (key == "hot_fraction") {
-            cfg.hotFraction = std::strtod(value.c_str(), nullptr);
-        } else if (key == "keys") {
-            cfg.numKeys = std::strtoull(value.c_str(), nullptr, 0);
-        } else if (key == "size") {
-            cfg.node.requestSize =
-                std::strtoull(value.c_str(), nullptr, 0);
-        } else if (key == "vaults") {
-            vaults = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 0));
-        } else if (key == "seed") {
-            cfg.seed = std::strtoull(value.c_str(), nullptr, 0);
-        } else if (key == "jobs") {
-            cfg.jobs = static_cast<unsigned>(
-                std::strtoul(value.c_str(), nullptr, 0));
-        } else {
-            std::fprintf(stderr, "serve: unknown traffic key '%s'\n",
-                         key.c_str());
-            return false;
-        }
-    }
-    if (cfg.numNodes == 0) {
-        std::fprintf(stderr, "serve: traffic needs nodes >= 1\n");
+    FleetKeys keys;
+    keys.cfg.jobs = jobs;
+    if (!setFleetKeys(keys, args, error) ||
+        !resolveFleetKeys(keys, error))
         return false;
-    }
-    const AddressMapper mapper(cfg.node.device.structure,
-                               cfg.node.device.maxBlock, 256,
-                               cfg.node.device.mapping);
-    cfg.node.pattern = vaultPattern(mapper, vaults);
+    const FleetConfig &cfg = keys.cfg;
 
     const FleetResult res = runFleet(cfg);
     for (unsigned n = 0; n < cfg.numNodes; ++n)
@@ -1133,8 +858,7 @@ runServeCommand(int argc, char **argv, int first)
         } else if (arg == "--store") {
             storeDir = next(argc, argv, i);
         } else if (arg == "--jobs") {
-            jobs = static_cast<unsigned>(
-                std::strtoul(next(argc, argv, i), nullptr, 0));
+            jobs = flagNumber<unsigned>(argc, argv, i);
         } else {
             usage();
         }
@@ -1186,19 +910,23 @@ runServeCommand(int argc, char **argv, int first)
     std::uint64_t failed = 0;
     std::string line;
     while (!gServeInterrupted && std::getline(*in, line)) {
-        const std::vector<std::string> tokens = splitTokens(line);
-        if (tokens.empty() || tokens[0][0] == '#')
+        std::string_view args = line;
+        const std::string_view verb = popWord(args);
+        if (verb.empty() || verb.front() == '#')
             continue;
-        if (tokens[0] == "quit" || tokens[0] == "shutdown")
+        if (verb == "quit" || verb == "shutdown")
             break;
+        // A bad request is counted and reported; the session goes on.
+        std::string error = "unknown request";
         bool ok = false;
-        if (tokens[0] == "sweep")
-            ok = serveSweepRequest(tokens, sink, cache.get(), jobs);
-        else if (tokens[0] == "traffic")
-            ok = serveTrafficRequest(tokens, *out, jobs);
-        else
-            std::fprintf(stderr, "serve: unknown request '%s'\n",
-                         tokens[0].c_str());
+        if (verb == "sweep")
+            ok = serveSweepRequest(args, sink, cache.get(), jobs, error);
+        else if (verb == "traffic")
+            ok = serveTrafficRequest(args, *out, jobs, error);
+        if (!ok)
+            std::fprintf(stderr, "serve: %.*s: %s\n",
+                         static_cast<int>(verb.size()), verb.data(),
+                         error.c_str());
         ++(ok ? served : failed);
     }
     // Every exit path -- quit/shutdown verb, input EOF, SIGINT --

@@ -36,14 +36,6 @@ timings(Codec &io, std::string_view prefix, Timings &t)
     return true;
 }
 
-/** MaxBlockSize is the one enum whose values are not 0..last. */
-bool
-validMaxBlock(MaxBlockSize block)
-{
-    return block == MaxBlockSize::B16 || block == MaxBlockSize::B32 ||
-           block == MaxBlockSize::B64 || block == MaxBlockSize::B128;
-}
-
 /**
  * The wire field list, in digest order: encodes through a KvWriter
  * (Config = const ExperimentConfig) or decodes through a KvReader.

@@ -4,6 +4,7 @@
 
 #include <chrono>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "dist/protocol.hh"
 #include "dist/store.hh"
 #include "dist/wire.hh"
+#include "host/experiment.hh"
 #include "runner/config_digest.hh"
 #include "runner/result_cache.hh"
 #include "runner/sweep.hh"
@@ -124,6 +126,15 @@ runWorker(const WorkerOptions &opts, WorkerStats *stats_out)
                 warn("worker: config digest mismatch on point %zu "
                      "(wire codec bug?)",
                      index);
+                ok = false;
+                break;
+            }
+            // A well-formed frame may still carry a config no model
+            // can be built from; refuse it rather than let a
+            // constructor's fatal() take the process down.
+            if (std::string error; !validateExperimentConfig(cfg, error)) {
+                warn("worker: invalid config on point %zu: %s", index,
+                     error.c_str());
                 ok = false;
                 break;
             }

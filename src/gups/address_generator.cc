@@ -1,5 +1,6 @@
 #include "gups/address_generator.hh"
 
+#include "protocol/packet.hh"
 #include "sim/logging.hh"
 
 namespace hmcsim
@@ -11,14 +12,23 @@ addressingModeName(AddressingMode mode)
     return mode == AddressingMode::Random ? "random" : "linear";
 }
 
+const char *
+requestSizeError(Bytes size)
+{
+    static_assert(maxPayloadBytes == 128, "update the reason below");
+    if (size == 0 || size % 16 != 0 || size > maxPayloadBytes)
+        return "must be a multiple of 16 B from 16 to 128 B";
+    return nullptr;
+}
+
 AddressGenerator::AddressGenerator(const AddressGeneratorConfig &cfg,
                                    std::uint64_t seed)
     : cfg(cfg), rng(seed),
       linearCursor(cfg.linearStart % (cfg.capacity ? cfg.capacity : 1))
 {
-    // HMC payloads are 1..8 flits: any multiple of 16 B up to 128 B.
-    if (cfg.requestSize == 0 || cfg.requestSize % 16 != 0)
-        fatal("request size must be a non-zero multiple of 16 B");
+    if (const char *why = requestSizeError(cfg.requestSize))
+        fatal("request size %llu %s",
+              static_cast<unsigned long long>(cfg.requestSize), why);
     // When the capacity is not a multiple of the request size, the
     // linear sequence wraps before an access would cross the limit.
 

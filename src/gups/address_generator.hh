@@ -29,6 +29,13 @@ enum class AddressingMode : std::uint8_t
 
 const char *addressingModeName(AddressingMode mode);
 
+/**
+ * Why @p size is not a legal request size, or nullptr when it is: HMC
+ * payloads are 1..8 flits, so any multiple of 16 B from 16 B up to
+ * maxPayloadBytes.
+ */
+const char *requestSizeError(Bytes size);
+
 /** Generator configuration. */
 struct AddressGeneratorConfig
 {

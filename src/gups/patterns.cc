@@ -30,22 +30,41 @@ fillSpans(const AddressMapper &mapper, AccessPattern &pattern)
     pattern.bankSpan = pattern.vaultSpan * (1u << free_bank_bits);
 }
 
-unsigned
-log2Pow2(unsigned v, const char *what)
+/** Why @p v is not a power of two that fits a @p field_bits-wide
+ *  address field, or nullptr. */
+const char *
+countError(unsigned v, unsigned field_bits, const char *too_large)
 {
-    if (v == 0 || (v & (v - 1)) != 0)
-        fatal("%s must be a power of two (got %u)", what, v);
-    return static_cast<unsigned>(std::countr_zero(v));
+    if (!std::has_single_bit(v))
+        return "must be a power of two";
+    if (static_cast<unsigned>(std::countr_zero(v)) > field_bits)
+        return too_large;
+    return nullptr;
 }
 
 } // namespace
 
+const char *
+bankCountError(const AddressMapper &mapper, unsigned num_banks)
+{
+    return countError(num_banks, mapper.bankBits(),
+                      "is more banks than a vault has");
+}
+
+const char *
+vaultCountError(const AddressMapper &mapper, unsigned num_vaults)
+{
+    return countError(num_vaults, mapper.vaultBits(),
+                      "is more vaults than the device has");
+}
+
 AccessPattern
 bankPattern(const AddressMapper &mapper, unsigned num_banks)
 {
-    const unsigned free_bits = log2Pow2(num_banks, "bank count");
-    if (free_bits > mapper.bankBits())
-        fatal("bank pattern larger than a vault");
+    if (const char *why = bankCountError(mapper, num_banks))
+        fatal("bank count %u %s", num_banks, why);
+    const auto free_bits =
+        static_cast<unsigned>(std::countr_zero(num_banks));
 
     AccessPattern p;
     p.name = num_banks == 1 ? "1 bank" : std::to_string(num_banks) +
@@ -65,9 +84,10 @@ bankPattern(const AddressMapper &mapper, unsigned num_banks)
 AccessPattern
 vaultPattern(const AddressMapper &mapper, unsigned num_vaults)
 {
-    const unsigned free_bits = log2Pow2(num_vaults, "vault count");
-    if (free_bits > mapper.vaultBits())
-        fatal("vault pattern larger than the device");
+    if (const char *why = vaultCountError(mapper, num_vaults))
+        fatal("vault count %u %s", num_vaults, why);
+    const auto free_bits =
+        static_cast<unsigned>(std::countr_zero(num_vaults));
 
     AccessPattern p;
     p.name = num_vaults == 1 ? "1 vault" : std::to_string(num_vaults) +

@@ -43,16 +43,27 @@ bitRangeMask(unsigned lo, unsigned hi)
     return ones << lo;
 }
 
+/** Why @p num_banks cannot form a bank pattern on @p mapper's
+ *  device (not a power of two, or more banks than a vault has), or
+ *  nullptr when it can. */
+const char *bankCountError(const AddressMapper &mapper,
+                           unsigned num_banks);
+
+/** Why @p num_vaults cannot form a vault pattern on @p mapper's
+ *  device, or nullptr when it can. */
+const char *vaultCountError(const AddressMapper &mapper,
+                            unsigned num_vaults);
+
 /**
- * Pattern confining traffic to @p num_banks banks within vault 0.
- * @p num_banks must be a power of two <= banks per vault.
+ * Pattern confining traffic to @p num_banks banks within vault 0
+ * (fatal unless bankCountError() accepts @p num_banks).
  */
 AccessPattern bankPattern(const AddressMapper &mapper,
                           unsigned num_banks);
 
 /**
- * Pattern spreading traffic over all banks of @p num_vaults vaults.
- * @p num_vaults must be a power of two <= vault count.
+ * Pattern spreading traffic over all banks of @p num_vaults vaults
+ * (fatal unless vaultCountError() accepts @p num_vaults).
  */
 AccessPattern vaultPattern(const AddressMapper &mapper,
                            unsigned num_vaults);

@@ -1,11 +1,16 @@
 #include "gups/trace.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
+#include <istream>
 #include <numeric>
 #include <sstream>
+#include <string_view>
 
+#include "gups/address_generator.hh"
 #include "sim/logging.hh"
+#include "sim/text.hh"
 
 namespace hmcsim
 {
@@ -14,7 +19,7 @@ namespace
 {
 
 Command
-parseOp(const std::string &token, int line_no)
+parseOp(std::string_view token, int line_no)
 {
     if (token == "R" || token == "r")
         return Command::Read;
@@ -22,8 +27,59 @@ parseOp(const std::string &token, int line_no)
         return Command::Write;
     if (token == "A" || token == "a")
         return Command::Atomic;
-    fatal("trace line %d: unknown op '%s' (expected R/W/A)", line_no,
-          token.c_str());
+    fatal("trace line %d: unknown op '%.*s' (expected R/W/A)", line_no,
+          static_cast<int>(token.size()), token.data());
+}
+
+/** All of @p text as a number in @p base: no sign, space or junk. */
+bool
+parseWhole(std::string_view text, int base, std::uint64_t &out)
+{
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, out, base);
+    return !text.empty() && ec == std::errc() && ptr == end;
+}
+
+/** Parse one line into @p trace; blank and comment lines add nothing. */
+void
+parseTraceLine(std::string_view line, int line_no, Trace &trace)
+{
+    line = line.substr(0, line.find('#'));
+    const std::string_view op = popWord(line);
+    if (op.empty())
+        return;
+    TraceEntry entry;
+    entry.op = parseOp(op, line_no);
+
+    // Addresses are 0x-prefixed hex or plain decimal; a leading zero,
+    // once read as octal, is refused rather than reinterpreted.
+    const std::string_view addr = popWord(line);
+    if (addr.empty())
+        fatal("trace line %d: missing address", line_no);
+    const bool hex = addr.starts_with("0x") || addr.starts_with("0X");
+    const bool octal = !hex && addr.size() > 1 && addr[0] == '0';
+    if (octal || !(hex ? parseWhole(addr.substr(2), 16, entry.addr)
+                       : parseWhole(addr, 10, entry.addr)))
+        fatal("trace line %d: bad address '%.*s'", line_no,
+              static_cast<int>(addr.size()), addr.data());
+
+    if (entry.op == Command::Atomic) {
+        entry.size = 16;
+    } else {
+        const std::string_view size = popWord(line);
+        if (size.empty())
+            fatal("trace line %d: missing size", line_no);
+        if (!parseWhole(size, 10, entry.size))
+            fatal("trace line %d: bad size '%.*s'", line_no,
+                  static_cast<int>(size.size()), size.data());
+        if (const char *why = requestSizeError(entry.size))
+            fatal("trace line %d: bad size %llu (%s)", line_no,
+                  static_cast<unsigned long long>(entry.size), why);
+    }
+    if (const std::string_view extra = popWord(line); !extra.empty())
+        fatal("trace line %d: unexpected field '%.*s'", line_no,
+              static_cast<int>(extra.size()), extra.data());
+    trace.push_back(entry);
 }
 
 } // namespace
@@ -34,43 +90,22 @@ parseTrace(std::istream &in)
     Trace trace;
     std::string line;
     int line_no = 0;
-    while (std::getline(in, line)) {
-        ++line_no;
-        // Strip comments.
-        const std::size_t hash = line.find('#');
-        if (hash != std::string::npos)
-            line.erase(hash);
-        std::istringstream fields(line);
-        std::string op;
-        if (!(fields >> op))
-            continue; // blank line
-        TraceEntry entry;
-        entry.op = parseOp(op, line_no);
-        std::string addr_token;
-        if (!(fields >> addr_token))
-            fatal("trace line %d: missing address", line_no);
-        entry.addr = static_cast<Addr>(
-            std::stoull(addr_token, nullptr, 0)); // accepts 0x...
-        if (entry.op == Command::Atomic) {
-            entry.size = 16;
-        } else {
-            unsigned long long size = 0;
-            if (!(fields >> size))
-                fatal("trace line %d: missing size", line_no);
-            if (size == 0 || size % 16 != 0 || size > maxPayloadBytes)
-                fatal("trace line %d: bad size %llu", line_no, size);
-            entry.size = size;
-        }
-        trace.push_back(entry);
-    }
+    while (std::getline(in, line))
+        parseTraceLine(line, ++line_no, trace);
     return trace;
 }
 
 Trace
 parseTraceString(const std::string &text)
 {
-    std::istringstream in(text);
-    return parseTrace(in);
+    Trace trace;
+    std::string_view rest = text;
+    for (int line_no = 1; !rest.empty(); ++line_no) {
+        const std::size_t nl = std::min(rest.find('\n'), rest.size());
+        parseTraceLine(rest.substr(0, nl), line_no, trace);
+        rest.remove_prefix(std::min(nl + 1, rest.size()));
+    }
+    return trace;
 }
 
 std::string

@@ -42,6 +42,9 @@ AddressMapper::AddressMapper(const HmcConfig &cfg, MaxBlockSize max_block,
       rowBytes(row_bytes),
       _scheme(scheme)
 {
+    if (!validMaxBlock(max_block))
+        fatal("max block must be 16, 32, 64 or 128 B (got %llu)",
+              static_cast<unsigned long long>(_maxBlock));
     _addrBits = log2Exact(cfg.capacity, "device capacity");
     const unsigned block_bits = log2Exact(_maxBlock / 16, "block ratio");
     const unsigned field_base = 4 + block_bits;

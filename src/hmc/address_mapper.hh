@@ -73,6 +73,15 @@ enum class MappingScheme : std::uint8_t
 
 const char *mappingSchemeName(MappingScheme scheme);
 
+/** True iff @p block names a MaxBlockSize enumerator, the one enum
+ *  whose values are not 0..last. */
+constexpr bool
+validMaxBlock(MaxBlockSize block)
+{
+    return block == MaxBlockSize::B16 || block == MaxBlockSize::B32 ||
+           block == MaxBlockSize::B64 || block == MaxBlockSize::B128;
+}
+
 /** Low-order-interleaved HMC address mapper. */
 class AddressMapper
 {

@@ -9,9 +9,8 @@ namespace hmcsim
 
 Ac510Module::Ac510Module(const Ac510Config &cfg) : cfg(cfg)
 {
-    if (cfg.numPorts == 0 || cfg.numPorts > maxGupsPorts)
-        fatal("AC-510 supports 1..%u GUPS ports (got %u)", maxGupsPorts,
-              cfg.numPorts);
+    if (const char *why = portCountError(cfg.numPorts))
+        fatal("port count %u %s", cfg.numPorts, why);
 
     _device = std::make_unique<HmcDevice>(cfg.device);
     _controller = std::make_unique<HmcController>(

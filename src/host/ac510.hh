@@ -67,6 +67,17 @@ struct Ac510Config
 /** Maximum usable GUPS ports (one of ten is reserved for system). */
 constexpr unsigned maxGupsPorts = gupsPortCount;
 
+/** Why the module cannot run @p ports active GUPS ports, or nullptr
+ *  when it can. */
+constexpr const char *
+portCountError(unsigned ports)
+{
+    static_assert(maxGupsPorts == 9, "update the reason below");
+    return ports >= 1 && ports <= maxGupsPorts
+               ? nullptr
+               : "must be 1..9, the AC-510's usable GUPS ports";
+}
+
 /** The assembled accelerator module. */
 class Ac510Module
 {

@@ -1,5 +1,6 @@
 #include "host/experiment.hh"
 
+#include <cmath>
 #include <cstring>
 #include <optional>
 #include <utility>
@@ -18,6 +19,32 @@ MeasurementResult::traffic() const
     t.readMrps = readMrps;
     t.writeMrps = writeMrps;
     return t;
+}
+
+bool
+validateExperimentConfig(const ExperimentConfig &cfg, std::string &error)
+{
+    const double ber = cfg.controller.bitErrorRate;
+    const double refresh = cfg.device.vault.refreshMultiplier;
+    if (const char *why = requestSizeError(cfg.requestSize))
+        error = "size " + std::to_string(cfg.requestSize) + " " + why;
+    else if (const char *why = portCountError(cfg.numPorts))
+        error = "ports " + std::to_string(cfg.numPorts) + " " + why;
+    else if (!validMaxBlock(cfg.device.maxBlock))
+        error = "maxblock " +
+                std::to_string(static_cast<unsigned>(cfg.device.maxBlock)) +
+                " must be 16, 32, 64 or 128";
+    else if (!(ber >= 0.0 && ber <= 1.0))
+        error = "ber must be within [0, 1]";
+    else if (!(refresh >= 0.0 && std::isfinite(refresh)))
+        error = "refresh must be a finite non-negative multiplier";
+    else if (cfg.measure == 0)
+        error = "measure_us 0 must be at least 1";
+    else if (cfg.warmup > maxTick - cfg.measure)
+        error = "warmup_us plus measure_us overflow simulated time";
+    else
+        return true;
+    return false;
 }
 
 Ac510Config

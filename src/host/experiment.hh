@@ -89,6 +89,19 @@ struct MeasurementResult
     TrafficSummary traffic() const;
 };
 
+/**
+ * Check @p cfg before any model is built from it: request size, port
+ * count, max block, bit error rate and refresh multiplier in range,
+ * and a non-empty measurement window that, with the warm-up, fits in
+ * simulated time. Each rule a constructor enforces is the
+ * constructor's own predicate. False with a one-line @p error that
+ * names the offending key by its serve spelling (size, ports, ...).
+ * The access pattern is built already; its vault/bank count is
+ * checked where it is built (runner/experiment_keys.hh).
+ */
+bool validateExperimentConfig(const ExperimentConfig &cfg,
+                              std::string &error);
+
 /** Build the Ac510 system description an experiment runs on. */
 Ac510Config makeSystemConfig(const ExperimentConfig &cfg);
 

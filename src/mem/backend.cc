@@ -1,5 +1,7 @@
 #include "mem/backend.hh"
 
+#include <utility>
+
 #include "mem/ddr4_backend.hh"
 #include "mem/hmc_dram_backend.hh"
 #include "mem/nvm_backend.hh"
@@ -8,34 +10,36 @@
 namespace hmcsim
 {
 
+namespace
+{
+
+/** Every accepted name; a kind's first entry is its backendName(). */
+constexpr std::pair<const char *, BackendKind> backendNames[] = {
+    {"hmc", BackendKind::HmcDram}, {"ddr4", BackendKind::Ddr4},
+    {"nvm", BackendKind::Nvm},     {"dram", BackendKind::HmcDram},
+    {"hmc-dram", BackendKind::HmcDram}, {"ddr", BackendKind::Ddr4},
+    {"pcm", BackendKind::Nvm},
+};
+
+} // namespace
+
 const char *
 backendName(BackendKind kind)
 {
-    switch (kind) {
-      case BackendKind::HmcDram:
-        return "hmc";
-      case BackendKind::Ddr4:
-        return "ddr4";
-      case BackendKind::Nvm:
-        return "nvm";
-    }
+    for (const auto &[name, named] : backendNames)
+        if (named == kind)
+            return name;
     return "unknown";
 }
 
 bool
 parseBackendKind(const std::string &name, BackendKind &out)
 {
-    if (name == "hmc" || name == "dram" || name == "hmc-dram") {
-        out = BackendKind::HmcDram;
-        return true;
-    }
-    if (name == "ddr4" || name == "ddr") {
-        out = BackendKind::Ddr4;
-        return true;
-    }
-    if (name == "nvm" || name == "pcm") {
-        out = BackendKind::Nvm;
-        return true;
+    for (const auto &[spelled, kind] : backendNames) {
+        if (name == spelled) {
+            out = kind;
+            return true;
+        }
     }
     return false;
 }

@@ -1,6 +1,8 @@
 // lint:file(persistence) -- diurnal traces round-trip through text: %a hexfloat only, enforced by hmcsim-lint.
 #include "service/arrival.hh"
 
+#include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -257,20 +259,6 @@ arrivalKindName(ArrivalKind kind)
     return "?";
 }
 
-bool
-parseArrivalKind(const std::string &name, ArrivalKind &out)
-{
-    if (name == "poisson")
-        out = ArrivalKind::Poisson;
-    else if (name == "mmpp")
-        out = ArrivalKind::Mmpp;
-    else if (name == "diurnal")
-        out = ArrivalKind::Diurnal;
-    else
-        return false;
-    return true;
-}
-
 std::uint64_t
 arrivalConfigDigest(const ArrivalConfig &cfg)
 {
@@ -297,37 +285,52 @@ deriveStreamSeed(std::uint64_t seed, const ArrivalConfig &cfg)
     return derived ? derived : 1;
 }
 
+const char *
+arrivalConfigError(const ArrivalConfig &cfg)
+{
+    const auto positive = [](double v) {
+        return v > 0.0 && std::isfinite(v);
+    };
+    if (!positive(cfg.ratePerSec))
+        return "rate must be positive and finite";
+    switch (cfg.kind) {
+      case ArrivalKind::Poisson:
+        return nullptr;
+      case ArrivalKind::Mmpp:
+        if (!positive(cfg.burstRatePerSec) || cfg.meanCalmTicks == 0 ||
+            cfg.meanBurstTicks == 0)
+            return "mmpp needs a positive burst_rate, calm_us and burst_us";
+        return nullptr;
+      case ArrivalKind::Diurnal: {
+        bool usable = false;
+        for (const DiurnalSegment &seg : cfg.trace) {
+            if (seg.duration == 0 || !std::isfinite(seg.rateScale))
+                return "trace has a segment of zero duration or "
+                       "non-finite scale";
+            if (seg.rateScale > 0.0)
+                usable = true;
+        }
+        return usable ? nullptr
+                      : "trace needs a segment with a positive rate";
+      }
+    }
+    return "unknown arrival kind";
+}
+
 std::unique_ptr<ArrivalModel>
 makeArrivalModel(const ArrivalConfig &cfg, std::uint64_t stream_seed)
 {
-    if (!(cfg.ratePerSec > 0.0))
-        fatal("arrival rate must be positive (got %g)", // lint:allow(hexfloat-persistence) diagnostic text, never persisted
-              cfg.ratePerSec);
+    if (const char *why = arrivalConfigError(cfg))
+        fatal("arrival: %s", why);
     switch (cfg.kind) {
       case ArrivalKind::Poisson:
         return std::make_unique<PoissonArrivals>(cfg.ratePerSec,
                                                  stream_seed);
       case ArrivalKind::Mmpp:
-        if (!(cfg.burstRatePerSec > 0.0) || cfg.meanCalmTicks == 0 ||
-            cfg.meanBurstTicks == 0) {
-            fatal("mmpp needs positive burst rate and dwell times");
-        }
         return std::make_unique<MmppArrivals>(cfg, stream_seed);
-      case ArrivalKind::Diurnal: {
-        bool usable = false;
-        for (const DiurnalSegment &seg : cfg.trace) {
-            if (seg.duration == 0)
-                fatal("diurnal segment with zero duration");
-            if (seg.rateScale > 0.0)
-                usable = true;
-        }
-        if (!usable)
-            fatal("diurnal trace needs at least one positive-rate "
-                  "segment");
+      case ArrivalKind::Diurnal:
         return std::make_unique<DiurnalArrivals>(cfg, stream_seed);
-      }
     }
-    fatal("unknown arrival kind");
     return nullptr;
 }
 
@@ -352,17 +355,21 @@ parseDiurnalTrace(const std::string &text,
 {
     out.clear();
     const char *p = text.c_str();
+    const char *last = p + text.size();
     while (*p) {
-        char *end = nullptr;
         DiurnalSegment seg;
-        seg.duration = std::strtoull(p, &end, 10);
-        if (end == p || *end != ':' || seg.duration == 0)
+        const auto [colon, ec] = std::from_chars(p, last, seg.duration);
+        if (ec != std::errc() || *colon != ':' || seg.duration == 0)
             return false;
-        p = end + 1;
+        p = colon + 1;
         // strtod accepts both the %a round-trip form and plain
-        // decimals for hand-written traces.
+        // decimals for hand-written traces; a sign, space, "inf" or
+        // "nan" does not start with a digit.
+        if (!std::isdigit(static_cast<unsigned char>(*p)))
+            return false;
+        char *end = nullptr;
         seg.rateScale = std::strtod(p, &end);
-        if (end == p || seg.rateScale < 0.0)
+        if (!std::isfinite(seg.rateScale))
             return false;
         out.push_back(seg);
         p = end;

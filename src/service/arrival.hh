@@ -50,9 +50,6 @@ enum class ArrivalKind
 
 const char *arrivalKindName(ArrivalKind kind);
 
-/** Parse "poisson" / "mmpp" / "diurnal"; false on anything else. */
-bool parseArrivalKind(const std::string &name, ArrivalKind &out);
-
 /** One piecewise-constant segment of a diurnal rate trace. */
 struct DiurnalSegment
 {
@@ -107,9 +104,13 @@ std::uint64_t arrivalConfigDigest(const ArrivalConfig &cfg);
 std::uint64_t deriveStreamSeed(std::uint64_t seed,
                                const ArrivalConfig &cfg);
 
+/** Why @p cfg cannot drive an arrival stream (a rate that is not
+ *  positive and finite, an MMPP without burst rate or dwell times, an
+ *  unusable diurnal trace), or nullptr when it can. */
+const char *arrivalConfigError(const ArrivalConfig &cfg);
+
 /** Build the configured model over @p stream_seed (deriveStreamSeed
- *  output). Validates the config (fatal on a nonpositive rate or an
- *  unusable diurnal trace). */
+ *  output); fatal unless arrivalConfigError() accepts @p cfg. */
 std::unique_ptr<ArrivalModel> makeArrivalModel(const ArrivalConfig &cfg,
                                                std::uint64_t stream_seed);
 

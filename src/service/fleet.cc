@@ -1,5 +1,6 @@
 #include "service/fleet.hh"
 
+#include "gups/address_generator.hh"
 #include "runner/thread_pool.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
@@ -40,17 +41,19 @@ routerPolicyName(RouterPolicy policy)
 }
 
 bool
-parseRouterPolicy(const std::string &name, RouterPolicy &out)
+validateFleetConfig(const FleetConfig &cfg, std::string &error)
 {
-    if (name == "uniform")
-        out = RouterPolicy::Uniform;
-    else if (name == "keyed")
-        out = RouterPolicy::Keyed;
-    else if (name == "hotspot")
-        out = RouterPolicy::HotSpot;
+    if (cfg.numNodes == 0)
+        error = "nodes 0 must be at least 1";
+    else if (const char *why = arrivalConfigError(cfg.arrival))
+        error = why;
+    else if (!(cfg.hotFraction >= 0.0 && cfg.hotFraction <= 1.0))
+        error = "hot_fraction must be within [0, 1]";
+    else if (const char *why = requestSizeError(cfg.node.requestSize))
+        error = "size " + std::to_string(cfg.node.requestSize) + " " + why;
     else
-        return false;
-    return true;
+        return true;
+    return false;
 }
 
 unsigned
@@ -120,8 +123,8 @@ fleetNodeSeed(const FleetConfig &cfg, unsigned node)
 FleetResult
 runFleet(const FleetConfig &cfg)
 {
-    if (cfg.numNodes == 0)
-        fatal("fleet needs at least one node");
+    if (std::string error; !validateFleetConfig(cfg, error))
+        fatal("fleet: %s", error.c_str());
 
     // Shard the stream. Arrival order is preserved within each node's
     // vector because the global stream is generated in arrival order.

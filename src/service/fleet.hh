@@ -42,9 +42,6 @@ enum class RouterPolicy
 
 const char *routerPolicyName(RouterPolicy policy);
 
-/** Parse "uniform" / "keyed" / "hotspot"; false on anything else. */
-bool parseRouterPolicy(const std::string &name, RouterPolicy &out);
-
 /** Fleet configuration. */
 struct FleetConfig
 {
@@ -66,6 +63,14 @@ struct FleetConfig
      *  runFleet derives one per node). */
     ServiceNodeConfig node;
 };
+
+/**
+ * Check @p cfg before any node is built: at least one node, a usable
+ * arrival stream (arrivalConfigError), a hot fraction in [0, 1] and a
+ * legal per-node request size. False with a one-line @p error naming
+ * the offending serve `traffic` key.
+ */
+bool validateFleetConfig(const FleetConfig &cfg, std::string &error);
 
 /** One generated request, already routed. */
 struct FleetRequest

@@ -22,10 +22,16 @@ coolingConfigs()
     return configs;
 }
 
+bool
+validCoolingIndex(unsigned index_1_based)
+{
+    return index_1_based >= 1 && index_1_based <= coolingConfigs().size();
+}
+
 const CoolingConfig &
 coolingConfig(unsigned index_1_based)
 {
-    if (index_1_based < 1 || index_1_based > coolingConfigs().size())
+    if (!validCoolingIndex(index_1_based))
         fatal("cooling config index must be 1..4 (got %u)", index_1_based);
     return coolingConfigs()[index_1_based - 1];
 }

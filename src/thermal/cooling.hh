@@ -48,6 +48,9 @@ struct CoolingConfig
 /** Table III: Cfg1 (strongest cooling) .. Cfg4 (weakest). */
 const std::array<CoolingConfig, 4> &coolingConfigs();
 
+/** True iff @p index_1_based names one of coolingConfigs(). */
+bool validCoolingIndex(unsigned index_1_based);
+
 /** Access one configuration by its paper name ("Cfg1".."Cfg4"). */
 const CoolingConfig &coolingConfig(unsigned index_1_based);
 

@@ -786,6 +786,50 @@ TEST(Distributed, CoordinatorAndWorkersMatchLocalByteForByte)
     EXPECT_GE(stats.workersSeen, 1u);
 }
 
+TEST(Distributed, WorkerRefusesAWellFormedPointWithAnInvalidConfig)
+{
+    const std::filesystem::path sock =
+        std::filesystem::temp_directory_path() / "hmcsim_dist_invalid.sock";
+    NetAddress addr;
+    std::string error;
+    ASSERT_TRUE(parseNetAddress("unix:" + sock.string(), addr, error));
+    const int listenFd = netListen(addr, error);
+    ASSERT_GE(listenFd, 0) << error;
+
+    int workerRc = -1;
+    std::thread worker([&sock, &workerRc] {
+        WorkerOptions w;
+        w.connectSpec = "unix:" + sock.string();
+        w.jobs = 1;
+        workerRc = runWorker(w);
+    });
+
+    // Play coordinator: grant one point whose frame is well formed and
+    // whose digest matches, but whose request size no packet carries.
+    const int fd = ::accept(listenFd, nullptr, nullptr);
+    ASSERT_GE(fd, 0);
+    std::string payload;
+    ASSERT_TRUE(readFrame(fd, payload)); // hello
+    ASSERT_TRUE(writeFrame(fd, formatWelcome(false, 1)));
+    ASSERT_TRUE(readFrame(fd, payload)); // want
+    ASSERT_TRUE(writeFrame(fd, formatGranted(1)));
+    ExperimentConfig cfg;
+    cfg.requestSize = 144;
+    cfg.measure = 10 * tickUs;
+    ASSERT_TRUE(writeFrame(
+        fd, formatPoint(0, configDigest(cfg), encodeExperimentConfig(cfg))));
+
+    // The worker refuses the point as it refuses a digest mismatch:
+    // it returns an error (this process is still here) and hangs up
+    // without resulting anything.
+    worker.join();
+    EXPECT_EQ(workerRc, 1);
+    EXPECT_FALSE(readFrame(fd, payload));
+    ::close(fd);
+    ::close(listenFd);
+    std::filesystem::remove(sock);
+}
+
 TEST(Distributed, ReclaimsLeasesOfAClientThatDiesSilently)
 {
     const std::filesystem::path sock =

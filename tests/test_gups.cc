@@ -116,6 +116,26 @@ TEST(AddressGenerator, RejectsBadSizes)
         "multiple of 16");
 }
 
+TEST(AddressGenerator, RejectsSizesAboveTheMaxPayload)
+{
+    // Multiples of 16 that no HMC packet carries: 144 once died deep in
+    // the packet encoder, and 2^64-64 (what "-64" parses to through
+    // strtoull) spun forever in the linear address walk.
+    EXPECT_DEATH(
+        { AddressGenerator gen(genCfg(AddressingMode::Random, 144), 1); },
+        "request size 144 must be a multiple of 16 B from 16 to 128 B");
+    EXPECT_DEATH(
+        {
+            AddressGenerator gen(
+                genCfg(AddressingMode::Linear, ~Bytes(0) - 63), 1);
+        },
+        "request size 18446744073709551552 must be");
+    EXPECT_EQ(requestSizeError(128), nullptr);
+    EXPECT_EQ(requestSizeError(16), nullptr);
+    EXPECT_NE(requestSizeError(144), nullptr);
+    EXPECT_NE(requestSizeError(0), nullptr);
+}
+
 // ---- Patterns ---------------------------------------------------------
 
 class PatternTest : public ::testing::Test

@@ -192,6 +192,12 @@ TEST(Arrival, DiurnalTraceParserRejectsMalformedInput)
     EXPECT_FALSE(parseDiurnalTrace("0:1.0", out));
     EXPECT_FALSE(parseDiurnalTrace("100:-1.0", out));
     EXPECT_FALSE(parseDiurnalTrace("100:1.0junk", out));
+    // A sign once wrapped the duration to ~2^64 ticks.
+    EXPECT_FALSE(parseDiurnalTrace("-100:1.0", out));
+    EXPECT_FALSE(parseDiurnalTrace("100:+1.0", out));
+    EXPECT_FALSE(parseDiurnalTrace("100: 1.0", out));
+    EXPECT_FALSE(parseDiurnalTrace("100:inf", out));
+    EXPECT_FALSE(parseDiurnalTrace("100:0x1p9999", out));
     // Hand-written decimal scales are accepted.
     EXPECT_TRUE(parseDiurnalTrace("100:1.5,200:0.5", out));
     ASSERT_EQ(out.size(), 2u);

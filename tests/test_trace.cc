@@ -62,6 +62,37 @@ TEST(TraceParse, RejectsBadSizes)
     EXPECT_DEATH(parseTraceString("R 0 0\n"), "bad size");
 }
 
+TEST(TraceParse, RejectsMalformedFieldsWithTheirLineNumber)
+{
+    // A non-numeric address once escaped as an uncaught
+    // std::invalid_argument; trailing junk after the size was dropped,
+    // and an out-of-range size read as a missing one.
+    EXPECT_DEATH(parseTraceString("R zz 64\n"), "line 1: bad address 'zz'");
+    EXPECT_DEATH(parseTraceString("R 0 16\nR 0x40 64junk\n"),
+                 "line 2: bad size '64junk'");
+    EXPECT_DEATH(parseTraceString("R 0x40 99999999999999999999999\n"),
+                 "line 1: bad size '9+'");
+    EXPECT_DEATH(parseTraceString("R 0x40 64 9\n"),
+                 "line 1: unexpected field '9'");
+    EXPECT_DEATH(parseTraceString("A 0x40 16\n"),
+                 "line 1: unexpected field '16'");
+    EXPECT_DEATH(parseTraceString("W -64 16\n"), "bad address '-64'");
+    EXPECT_DEATH(parseTraceString("W 0x 16\n"), "bad address '0x'");
+    EXPECT_DEATH(parseTraceString("W 010 16\n"), "bad address '010'");
+    EXPECT_DEATH(parseTraceString("R 0 144\n"), "line 1: bad size 144");
+}
+
+TEST(TraceParse, AddressesAreHexOrDecimal)
+{
+    const Trace t =
+        parseTraceString("R 0x1A2b 16\nW\t4096\t32\r\nA 0X10 # c");
+    ASSERT_EQ(t.size(), 3u);
+    EXPECT_EQ(t[0].addr, 0x1A2Bu);
+    EXPECT_EQ(t[1].addr, 4096u);
+    EXPECT_EQ(t[1].size, 32u);
+    EXPECT_EQ(t[2].addr, 0x10u);
+}
+
 TEST(TraceParse, RoundTripsThroughFormat)
 {
     const Trace t = parseTraceString("R 0x100 128\nW 0x200 64\nA 0x300\n");
