@@ -3,55 +3,47 @@
  * Simulator performance: how fast the discrete-event core and the
  * full platform run on the host machine. Not a paper artifact --
  * this is the bench a simulator project ships so users can budget
- * their sweeps, and since the calendar-queue rewrite
- * (docs/performance.md) it doubles as the perf-regression harness:
+ * their sweeps. It reports and guards (docs/performance.md):
  *
- *  - an in-binary A/B microbench pits the retired binary-heap +
- *    std::function core (replicated below as LegacyHeapQueue) against
- *    the shipping calendar EventQueue on the same workloads;
- *  - the fig06-style reference workload (full-scale 9-port ro GUPS)
- *    reports wall-clock events/sec and ns/event for the whole
- *    platform;
- *  - a backend-dispatch A/B times the vault's virtual MemoryBackend
- *    accept() against a replica of the pre-interface direct bank
- *    array on one packet stream, bit-identical by assertion, and
- *    bounds the dispatch overhead;
- *  - a snapshot-fork A/B races a cold 12-point measure-axis sweep
- *    against the same sweep served from one warmed, forked simulator
+ *  - event core: the calendar EventQueue's wall time, events/s and
+ *    ns/event on a pending-heavy drain and on steady self-scheduling
+ *    chains (reported, not guarded);
+ *  - address_decode: AddressMapper's precompiled plan raced against
+ *    its div/mod decodeReference() on one address stream,
+ *    bit-identical by assertion;
+ *  - snapshot_fork: a cold 12-point measure-axis sweep raced against
+ *    the same sweep served from one warmed, forked simulator
  *    (SweepOptions::warmStart), stat digests bit-identical by
  *    assertion;
- *  - results are written to BENCH_simcore.json (override the path
- *    with HMCSIM_PERF_JSON);
- *  - with HMCSIM_PERF_GUARD=1 in the environment (the CI perf-smoke
- *    job) the process fails unless the calendar core clears the
- *    1.5x speedup budget on the steady-state A/B.
+ *  - platform: the fig06-style reference workload (full-scale 9-port
+ *    ro GUPS), events, wall ms and ns/event (reported, not guarded).
+ *
+ * Both A/Bs run interleaved pairs, alternating which side goes first,
+ * and read the median of the per-pair ratios with its p25/p75.
+ * Results go to BENCH_simcore.json (override the path with
+ * HMCSIM_PERF_JSON). With HMCSIM_PERF_GUARD=1 (the CI perf-smoke job)
+ * the process fails unless both median ratios reach 1.5x. End-to-end
+ * regressions are judged by the CI perf-pair job, which runs
+ * perfbench's campaign on the parent and the change (tools/perf_pair.py).
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <functional>
-#include <queue>
-#include <string>
 #include <utility>
 #include <vector>
 
 #include "bench_common.hh"
-#include "dram/bank.hh"
-#include "gups/address_generator.hh"
 #include "hmc/address_mapper.hh"
-#include "hmc/vault_controller.hh"
 #include "host/experiment.hh"
-#include "link/link.hh"
-#include "protocol/packet.hh"
 #include "runner/sweep.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/random.hh"
-#include "sim/stats.hh"
 
 namespace
 {
@@ -59,86 +51,92 @@ namespace
 using namespace hmcsim;
 using namespace hmcsim::benchutil;
 
-// ---------------------------------------------------------------------
-// The retired event core, replicated for the A/B: a binary heap of
-// (tick, seq, std::function). Captures beyond the std::function
-// small-object buffer (16 bytes on libstdc++) heap-allocate per
-// scheduled event, exactly as the simulator did before the rewrite.
-// ---------------------------------------------------------------------
-
-class LegacyHeapQueue
-{
-  public:
-    Tick now() const { return _now; }
-    std::uint64_t executed() const { return numExecuted; }
-
-    void
-    schedule(Tick when, std::function<void()> fn)
-    {
-        heap.push(Entry{when, nextSeq++, std::move(fn)});
-    }
-
-    void
-    scheduleIn(Tick delta, std::function<void()> fn)
-    {
-        schedule(_now + delta, std::move(fn));
-    }
-
-    void
-    runToCompletion()
-    {
-        while (!heap.empty()) {
-            // The const_cast move the old implementation relied on
-            // (and the rewrite removed from src/).
-            Entry entry = std::move(const_cast<Entry &>(heap.top()));
-            heap.pop();
-            _now = entry.when;
-            ++numExecuted;
-            entry.fn();
-        }
-    }
-
-  private:
-    struct Entry
-    {
-        Tick when;
-        std::uint64_t seq;
-        std::function<void()> fn;
-    };
-    struct FiresLater
-    {
-        bool
-        operator()(const Entry &a, const Entry &b) const
-        {
-            if (a.when != b.when)
-                return a.when > b.when;
-            return a.seq > b.seq;
-        }
-    };
-
-    std::priority_queue<Entry, std::vector<Entry>, FiresLater> heap;
-    Tick _now = 0;
-    std::uint64_t nextSeq = 0;
-    std::uint64_t numExecuted = 0;
-};
-
+/** Wall time of one call of @p run, in ms. */
 template <typename Fn>
 double
-minWallMs(unsigned reps, Fn &&run)
+wallMs(Fn &&run)
 {
-    double best = 0.0;
-    for (unsigned i = 0; i < reps; ++i) {
-        const auto start = std::chrono::steady_clock::now();
-        run();
-        const auto stop = std::chrono::steady_clock::now();
-        const double ms =
-            std::chrono::duration<double, std::milli>(stop - start)
-                .count();
-        if (i == 0 || ms < best)
-            best = ms;
-    }
-    return best;
+    const auto start = std::chrono::steady_clock::now();
+    run();
+    const auto stop = std::chrono::steady_clock::now();
+    return std::chrono::duration<double, std::milli>(stop - start).count();
 }
+
+/** Nearest-rank quantile @p q of @p values (the rule sim/stats.hh and
+ *  perfbench use). */
+double
+quantile(std::vector<double> values, double q)
+{
+    std::sort(values.begin(), values.end());
+    const auto rank = static_cast<std::size_t>(
+        q * static_cast<double>(values.size()));
+    return values[std::min(rank, values.size() - 1)];
+}
+
+/** Median of @p reps calls of @p run, in ms. */
+template <typename Fn>
+double
+medianWallMs(unsigned reps, Fn &&run)
+{
+    std::vector<double> ms;
+    for (unsigned i = 0; i < reps; ++i)
+        ms.push_back(wallMs(run));
+    return quantile(std::move(ms), 0.5);
+}
+
+/** An A/B race: the median wall time of each side and the quartiles
+ *  of the per-pair slow/fast ratios. */
+struct PairedRace
+{
+    unsigned pairs = 0;
+    double slowMs = 0.0;
+    double fastMs = 0.0;
+    double ratioP25 = 0.0;
+    double ratioMedian = 0.0;
+    double ratioP75 = 0.0;
+};
+
+/**
+ * Race @p slow against @p fast over @p pairs interleaved pairs,
+ * alternating which side goes first so neither always runs on the
+ * cache and frequency state the other left. Each pair yields one
+ * ratio slow/fast; the guard reads their median, which, unlike the
+ * best pair, is not biased upward by the number of pairs.
+ */
+template <typename Slow, typename Fast>
+PairedRace
+racePairs(unsigned pairs, Slow &&slow, Fast &&fast)
+{
+    std::vector<double> slow_ms, fast_ms, ratios;
+    for (unsigned i = 0; i < pairs; ++i) {
+        double s, f;
+        if (i % 2 == 0) {
+            s = wallMs(slow);
+            f = wallMs(fast);
+        } else {
+            f = wallMs(fast);
+            s = wallMs(slow);
+        }
+        slow_ms.push_back(s);
+        fast_ms.push_back(f);
+        ratios.push_back(s / f);
+    }
+    PairedRace race;
+    race.pairs = pairs;
+    race.slowMs = quantile(slow_ms, 0.5);
+    race.fastMs = quantile(fast_ms, 0.5);
+    race.ratioP25 = quantile(ratios, 0.25);
+    race.ratioMedian = quantile(ratios, 0.5);
+    race.ratioP75 = quantile(std::move(ratios), 0.75);
+    return race;
+}
+
+/** The median pair ratio each A/B must reach under HMCSIM_PERF_GUARD. */
+constexpr double ratioBudget = 1.5;
+
+// ---------------------------------------------------------------------
+// Event core
+// ---------------------------------------------------------------------
 
 /** Events in the pending-heavy drain workload. */
 constexpr std::uint64_t drainEvents = 1000000;
@@ -149,12 +147,11 @@ constexpr unsigned chainCount = 64;
 
 /**
  * Pending-heavy drain: preload @p n events at scattered ticks, then
- * pop them all. Exercises pure scheduling-structure cost (the old
- * core pays O(log n) per op at n-deep heaps).
+ * pop them all. Exercises pure scheduling-structure cost: wheel, laps
+ * and the far-future ladder.
  */
-template <typename Queue>
 std::uint64_t
-pendingDrain(Queue &q, std::uint64_t n)
+pendingDrain(EventQueue &q, std::uint64_t n)
 {
     Xoshiro256StarStar rng(7);
     std::uint64_t fired = 0;
@@ -169,17 +166,15 @@ pendingDrain(Queue &q, std::uint64_t n)
 /**
  * Steady-state chains: every fired event schedules the next, with a
  * capture set sized like the production schedulers' (a component
- * pointer, a pooled-packet-style pointer, a scalar) -- beyond the
- * std::function small-object buffer, inside the Event inline budget.
+ * pointer, a pooled-packet-style pointer, a scalar).
  */
-template <typename Queue>
 std::uint64_t
-steadyChains(Queue &q, std::uint64_t total)
+steadyChains(EventQueue &q, std::uint64_t total)
 {
     std::uint64_t remaining = total;
     struct Chain
     {
-        Queue *q;
+        EventQueue *q;
         std::uint64_t *remaining;
         Tick period;
 
@@ -199,21 +194,12 @@ steadyChains(Queue &q, std::uint64_t total)
 }
 
 // ---------------------------------------------------------------------
-// Model-path A/B microbenches (PR 5, docs/performance.md): with the
-// event core fast, per-packet *model* work dominates the platform
-// window. Each microbench races the shipping fast path against the
-// per-packet formulation it replaced, on identical inputs, and the
-// harness asserts the observable results are bit-identical before
-// timing anything -- the same byte-identical-digest discipline the
-// calendar-queue rewrite established.
+// Address decode A/B: the precompiled plan against the div/mod
+// formulation AddressMapper keeps as decodeReference().
 // ---------------------------------------------------------------------
 
-/** Addresses decoded / samples flushed / addresses issued per side. */
-constexpr std::size_t modelOpCount = 4000000;
-/** Ports emulated by the stats microbench (the AC-510's GUPS count). */
-constexpr unsigned modelPortCount = 9;
-/** Issue-window depth matching GupsPort::addrWindowSize. */
-constexpr unsigned modelWindowSize = 32;
+/** Addresses decoded per side. */
+constexpr std::size_t decodeCount = 4000000;
 
 /** Fold a decoded address into a checksum (prevents DCE and doubles
  *  as the bit-identity witness between the two decode paths). */
@@ -243,303 +229,6 @@ mapperDecodeRun(const AddressMapper &mapper,
     return acc;
 }
 
-/** Per-port monitoring state replicated for the stats A/B. */
-struct StatsPortState
-{
-    SampleStats latency;
-    Histogram hist{0.0, 100000.0, 1000};
-    std::uint64_t completed = 0;
-    Bytes rawBytes = 0;
-    Bytes payloadBytes = 0;
-};
-
-/** The pre-PR5 per-response monitoring path: convert to ns, run the
- *  Welford accumulator, probe the histogram, bump three counters --
- *  per sample. Calls the same shipping SampleStats::sample and
- *  Histogram::sample the port used to call. */
-void
-statsPerSampleRun(std::vector<StatsPortState> &ports,
-                  const std::vector<Tick> &ticks)
-{
-    const Bytes trans_bytes = transactionBytes(Command::Read, 128);
-    for (std::size_t i = 0; i < ticks.size(); ++i) {
-        StatsPortState &p = ports[i % modelPortCount];
-        const double v = ticksToNs(ticks[i]);
-        p.latency.sample(v);
-        p.hist.sample(v);
-        ++p.completed;
-        p.rawBytes += trans_bytes;
-        p.payloadBytes += 128;
-    }
-}
-
-/** The shipping batched path: buffer raw ticks per port, drain each
- *  full buffer with TickLatencyBatch::flushInto, and settle the
- *  completion counters per flush. */
-void
-statsBatchedRun(std::vector<StatsPortState> &ports,
-                const std::vector<Tick> &ticks)
-{
-    const Bytes trans_bytes = transactionBytes(Command::Read, 128);
-    TickLatencyBatch batches[modelPortCount];
-    auto flush = [&](unsigned port) {
-        StatsPortState &p = ports[port];
-        const auto n = static_cast<std::uint64_t>(batches[port].size());
-        batches[port].flushInto(p.latency, &p.hist);
-        p.completed += n;
-        p.rawBytes += n * trans_bytes;
-        p.payloadBytes += n * 128;
-    };
-    for (std::size_t i = 0; i < ticks.size(); ++i) {
-        const auto port = static_cast<unsigned>(i % modelPortCount);
-        if (batches[port].push(ticks[i]))
-            flush(port);
-    }
-    for (unsigned port = 0; port < modelPortCount; ++port)
-        if (!batches[port].empty())
-            flush(port);
-}
-
-/** Exact bits of a double, for the bit-identity assertions. */
-inline std::uint64_t
-doubleBits(double v)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    return bits;
-}
-
-/** Checksum over every digest-observable field of a port's stats. */
-std::uint64_t
-statsChecksum(const std::vector<StatsPortState> &ports)
-{
-    std::uint64_t acc = 1469598103934665603ULL;
-    for (const StatsPortState &p : ports) {
-        acc = acc * 1099511628211ULL ^ p.latency.count();
-        acc = acc * 1099511628211ULL ^ doubleBits(p.latency.sum());
-        acc = acc * 1099511628211ULL ^ doubleBits(p.latency.min());
-        acc = acc * 1099511628211ULL ^ doubleBits(p.latency.max());
-        acc = acc * 1099511628211ULL ^ p.hist.totalSamples();
-        acc = acc * 1099511628211ULL ^ p.hist.underflow();
-        acc = acc * 1099511628211ULL ^ p.hist.overflow();
-        for (std::size_t b = 0; b < p.hist.numBins(); ++b)
-            acc = acc * 1099511628211ULL ^ p.hist.binCount(b);
-        acc = acc * 1099511628211ULL ^ p.completed;
-        acc = acc * 1099511628211ULL ^ p.rawBytes;
-        acc = acc * 1099511628211ULL ^ p.payloadBytes;
-    }
-    return acc;
-}
-
-// The retired per-call address generator, replicated for the A/B: the
-// shipping AddressGenerator now hoists the alignment, the random
-// bound (a 64-bit divide), and the mask work out of the loop, so the
-// old formulation lives here. next() is noinline because the original
-// lived in another translation unit -- each issue paid a real call
-// and recomputed the bound; letting the optimizer inline and hoist
-// that divide here would benchmark code that never shipped.
-struct LegacyAddressGenerator
-{
-    AddressGeneratorConfig cfg;
-    Xoshiro256StarStar rng;
-
-    LegacyAddressGenerator(const AddressGeneratorConfig &cfg,
-                           std::uint64_t seed)
-        : cfg(cfg), rng(seed)
-    {
-    }
-
-    __attribute__((noinline)) Addr
-    next()
-    {
-        const Addr align = cfg.requestSize % 32 == 0 ? 32 : 16;
-        Addr addr = rng.nextBounded(cfg.capacity / align) * align;
-        addr = (addr & ~cfg.mask) | cfg.antiMask;
-        addr &= ~(align - 1);
-        return addr;
-    }
-};
-
-AddressGeneratorConfig
-issueBenchConfig()
-{
-    AddressGeneratorConfig cfg;
-    cfg.mode = AddressingMode::Random;
-    cfg.requestSize = 128;
-    cfg.capacity = 4 * gib;
-    return cfg;
-}
-
-std::uint64_t
-issuePerCallRun(std::size_t n, std::uint64_t seed)
-{
-    LegacyAddressGenerator gen(issueBenchConfig(), seed);
-    std::uint64_t acc = 0;
-    for (std::size_t i = 0; i < n; ++i)
-        acc += gen.next();
-    return acc;
-}
-
-std::uint64_t
-issueWindowedRun(std::size_t n, std::uint64_t seed)
-{
-    AddressGenerator gen(issueBenchConfig(), seed);
-    Addr window[modelWindowSize];
-    unsigned pos = modelWindowSize;
-    std::uint64_t acc = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (pos == modelWindowSize) {
-            gen.fill(window, modelWindowSize);
-            pos = 0;
-        }
-        acc += window[pos++];
-    }
-    return acc;
-}
-
-// ---------------------------------------------------------------------
-// Backend-dispatch A/B (the MemoryBackend extraction): the vault's
-// per-packet path now reaches its bank array through a virtual
-// accept() call. This replica is the pre-interface formulation --
-// the same math with the banks, refresh bookkeeping, and TSV bus
-// inlined in the controller -- raced against VaultController on one
-// packet stream to bound what the indirection costs.
-// ---------------------------------------------------------------------
-
-/** Packets pushed through each vault formulation per side. */
-constexpr std::size_t dispatchOpCount = 2000000;
-
-class DirectVaultReplica
-{
-  public:
-    explicit DirectVaultReplica(const VaultConfig &cfg)
-        : cfg(cfg), banks(cfg.numBanks), nextRefresh(cfg.numBanks, 0),
-          dataBus(static_cast<double>(cfg.timings.beatBytes) * 1e12 /
-                  static_cast<double>(cfg.timings.tBeat))
-    {
-        const Tick interval = refreshInterval();
-        if (interval != 0)
-            for (unsigned i = 0; i < cfg.numBanks; ++i)
-                nextRefresh[i] = interval * (i + 1) / cfg.numBanks;
-    }
-
-    // noinline for the same reason as LegacyAddressGenerator::next():
-    // the pre-interface controller lived in another translation unit,
-    // so every service() was a real call; letting the optimizer fold
-    // this replica into the timing loop would race the virtual path
-    // against a formulation that never shipped.
-    __attribute__((noinline)) Tick
-    service(const Packet &pkt, Tick arrival)
-    {
-        const Tick start = arrival + cfg.controllerLatency;
-        const bool is_write = pkt.cmd != Command::Read;
-        refreshDue(pkt.bank, start);
-        BankAccessResult res =
-            banks[pkt.bank].access(cfg.timings, cfg.policy, start,
-                                   pkt.row, pkt.payload, is_write);
-        if (pkt.cmd == Command::Atomic)
-            res.dataReady += cfg.atomicLatency;
-        const Bytes beat_span =
-            (pkt.addr % cfg.timings.beatBytes) + pkt.payload;
-        const Bytes bus_bytes =
-            (cfg.timings.beats(beat_span) + cfg.commandBeats) *
-            cfg.timings.beatBytes;
-        const Tick bus_done = dataBus.admit(
-            res.dataReady, static_cast<double>(bus_bytes));
-
-        // The monitoring work the pre-interface controller also did
-        // per packet; without it the replica under-counts the
-        // baseline and the A/B overstates the dispatch cost.
-        switch (pkt.cmd) {
-          case Command::Read:
-            ++_stats.reads;
-            break;
-          case Command::Write:
-            ++_stats.writes;
-            break;
-          case Command::Atomic:
-            ++_stats.atomics;
-            break;
-        }
-        if (res.rowHit)
-            ++_stats.rowHits;
-        _stats.payloadBytes += pkt.payload;
-        _stats.refreshes = numRefreshes;
-
-        return bus_done;
-    }
-
-  private:
-    Tick
-    refreshInterval() const
-    {
-        if (!cfg.refreshEnabled || cfg.refreshMultiplier <= 0.0)
-            return 0;
-        return static_cast<Tick>(
-            static_cast<double>(cfg.timings.tRefi) /
-            cfg.refreshMultiplier);
-    }
-
-    void
-    refreshDue(unsigned bank_idx, Tick now)
-    {
-        const Tick interval = refreshInterval();
-        if (interval == 0)
-            return;
-        while (nextRefresh[bank_idx] <= now) {
-            banks[bank_idx].refresh(cfg.timings, nextRefresh[bank_idx]);
-            nextRefresh[bank_idx] += interval;
-            ++numRefreshes;
-        }
-    }
-
-    VaultConfig cfg;
-    std::vector<Bank> banks;
-    std::vector<Tick> nextRefresh;
-    ThroughputRegulator dataBus;
-    VaultStats _stats;
-    std::uint64_t numRefreshes = 0;
-};
-
-/** A vault-shaped packet stream with jittered arrivals, shared by
- *  both sides so they chew identical data. */
-void
-makeDispatchStream(std::vector<Packet> &pkts,
-                   std::vector<Tick> &arrivals)
-{
-    const VaultConfig cfg;
-    Xoshiro256StarStar rng(17);
-    pkts.resize(dispatchOpCount);
-    arrivals.resize(dispatchOpCount);
-    Tick arrival = 0;
-    for (std::size_t i = 0; i < dispatchOpCount; ++i) {
-        Packet &pkt = pkts[i];
-        pkt = Packet{};
-        const std::uint64_t pick = rng.nextBounded(8);
-        pkt.cmd = pick == 0   ? Command::Write
-                  : pick == 1 ? Command::Atomic
-                              : Command::Read;
-        pkt.addr = rng.nextBounded(1u << 30);
-        pkt.payload = 16u << rng.nextBounded(4);
-        pkt.bank =
-            static_cast<std::uint8_t>(rng.nextBounded(cfg.numBanks));
-        pkt.row = static_cast<std::uint32_t>(rng.nextBounded(4096));
-        arrivals[i] = arrival;
-        arrival += rng.nextBounded(100);
-    }
-}
-
-template <typename Vault>
-std::uint64_t
-dispatchRun(const std::vector<Packet> &pkts,
-            const std::vector<Tick> &arrivals, std::uint64_t acc)
-{
-    Vault vault{VaultConfig{}};
-    for (std::size_t i = 0; i < pkts.size(); ++i)
-        acc = acc * 1099511628211ULL ^ vault.service(pkts[i], arrivals[i]);
-    return acc;
-}
-
 // ---------------------------------------------------------------------
 // Snapshot-fork A/B (copy-on-write simulator fork): a measure-axis
 // sweep re-simulates one identical warm-up per point when run cold;
@@ -561,6 +250,15 @@ forkSweepAxes()
     for (unsigned i = 0; i < forkSweepPoints; ++i)
         axes.measures.push_back((4 + 2 * i) * tickUs);
     return axes;
+}
+
+/** Exact bits of a double, for the bit-identity witness. */
+inline std::uint64_t
+doubleBits(double v)
+{
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof(bits));
+    return bits;
 }
 
 /** One-worker sweep over the fork axes; returns the per-point stat
@@ -585,109 +283,47 @@ forkSweepRun(bool warm_start, std::uint64_t acc)
 
 struct SimcoreResults
 {
-    double drainLegacyMs = 0.0;
-    double drainCalendarMs = 0.0;
-    double chainLegacyMs = 0.0;
-    double chainCalendarMs = 0.0;
+    double drainMs = 0.0;
+    double chainMs = 0.0;
     std::uint64_t platformEvents = 0;
     double platformWallMs = 0.0;
     double platformSimUs = 0.0;
-    double mapperDivmodMs = 0.0;
-    double mapperPlanMs = 0.0;
-    double statsPerSampleMs = 0.0;
-    double statsBatchedMs = 0.0;
-    double issuePerCallMs = 0.0;
-    double issueWindowedMs = 0.0;
-    double dispatchDirectMs = 0.0;
-    double dispatchVirtualMs = 0.0;
-    /** Best direct/virtual ratio over the interleaved rep pairs: the
-     *  two sides run back to back per rep, so the best pair is the
-     *  one least disturbed by the host, and a single noisy rep
-     *  cannot sink the guard the way a min/min ratio can. */
-    double dispatchBestRatio = 0.0;
-    /** Best per-call/windowed ratio over interleaved rep pairs. */
-    double issueBestRatio = 0.0;
-    /** Best per-sample/batched ratio over interleaved rep pairs. */
-    double statsBestRatio = 0.0;
-    double forkColdMs = 0.0;
-    double forkWarmMs = 0.0;
-
-    double drainSpeedup() const { return drainLegacyMs / drainCalendarMs; }
-    double chainSpeedup() const { return chainLegacyMs / chainCalendarMs; }
-    double mapperSpeedup() const { return mapperDivmodMs / mapperPlanMs; }
-    double statsSpeedup() const { return statsBestRatio; }
-    double issueSpeedup() const { return issueBestRatio; }
-    double forkSpeedup() const { return forkColdMs / forkWarmMs; }
-    /** Direct-array wall over virtual-interface wall: 1.0 = free
-     *  dispatch, 0.98 = the interface costs 2%. */
-    double
-    dispatchRatio() const
-    {
-        return dispatchBestRatio;
-    }
-
-    double
-    chainEventsPerSec() const
-    {
-        return static_cast<double>(chainEvents) /
-               (chainCalendarMs / 1e3);
-    }
-
-    double
-    chainNsPerEvent() const
-    {
-        return chainCalendarMs * 1e6 / static_cast<double>(chainEvents);
-    }
-
-    double
-    platformEventsPerSec() const
-    {
-        return static_cast<double>(platformEvents) /
-               (platformWallMs / 1e3);
-    }
-
-    double
-    platformNsPerEvent() const
-    {
-        return platformWallMs * 1e6 /
-               static_cast<double>(platformEvents);
-    }
+    PairedRace decode;
+    PairedRace fork;
 };
+
+/** Events per second and ns per event of @p events run in @p ms. */
+double
+eventsPerSec(std::uint64_t events, double ms)
+{
+    return static_cast<double>(events) / (ms / 1e3);
+}
+
+double
+nsPerEvent(std::uint64_t events, double ms)
+{
+    return ms * 1e6 / static_cast<double>(events);
+}
 
 const SimcoreResults &
 results()
 {
     static const SimcoreResults r = [] {
-        constexpr unsigned reps = 3;
         SimcoreResults out;
-
-        out.drainLegacyMs = minWallMs(reps, [] {
-            LegacyHeapQueue q;
-            benchmark::DoNotOptimize(pendingDrain(q, drainEvents));
-        });
-        out.drainCalendarMs = minWallMs(reps, [] {
+        out.drainMs = medianWallMs(3, [] {
             EventQueue q;
             benchmark::DoNotOptimize(pendingDrain(q, drainEvents));
         });
-        out.chainLegacyMs = minWallMs(reps, [] {
-            LegacyHeapQueue q;
-            benchmark::DoNotOptimize(steadyChains(q, chainEvents));
-        });
-        out.chainCalendarMs = minWallMs(reps, [] {
+        out.chainMs = medianWallMs(3, [] {
             EventQueue q;
             benchmark::DoNotOptimize(steadyChains(q, chainEvents));
         });
 
         // Fig. 6-style reference workload: full-scale random ro GUPS,
-        // all 9 ports, 200 us of simulated time. Min of 7: one rep is
-        // ~15 ms, so the extra reps are free, and the platform wall
-        // clock is the guard metric most exposed to host scheduling
-        // noise (observed min-of-3 spread on a shared runner: several
-        // ms around the ~14 ms floor).
-        constexpr unsigned platform_reps = 7;
+        // all 9 ports, 200 us of simulated time (~15 ms a run).
         const Tick window = 200 * tickUs;
         out.platformSimUs = ticksToUs(window);
-        out.platformWallMs = minWallMs(platform_reps, [&out, window] {
+        out.platformWallMs = medianWallMs(7, [&out, window] {
             Ac510Config cfg;
             Ac510Module module(cfg);
             module.start();
@@ -695,15 +331,9 @@ results()
             out.platformEvents = module.queue().executed();
         });
 
-        // Model-path microbenches, min of 5 (short enough that the
-        // extra reps are cheap and they tighten the A/B against
-        // scheduler noise). Inputs are generated once and shared so
-        // both sides chew identical data.
-        constexpr unsigned model_reps = 5;
-
         const AddressMapper mapper(HmcConfig::gen2_4GB(),
                                    MaxBlockSize::B128);
-        std::vector<Addr> addrs(modelOpCount);
+        std::vector<Addr> addrs(decodeCount);
         {
             Xoshiro256StarStar rng(11);
             for (Addr &a : addrs)
@@ -713,208 +343,97 @@ results()
             mapperDecodeRun(mapper, addrs, false, 0))
             fatal("address-plan decode diverges from the div/mod "
                   "reference");
-        // The timed closures fold a per-rep salt into each run so the
-        // optimizer cannot treat a rep as a pure repeat of the last
-        // and hoist it out of the timing loop.
+        // Each timed run folds in a fresh salt so the optimizer cannot
+        // treat one run as a repeat of the last and hoist it.
         std::uint64_t salt = 1;
-        out.mapperDivmodMs = minWallMs(model_reps, [&] {
-            benchmark::DoNotOptimize(
-                mapperDecodeRun(mapper, addrs, true, salt++));
-        });
-        out.mapperPlanMs = minWallMs(model_reps, [&] {
-            benchmark::DoNotOptimize(
-                mapperDecodeRun(mapper, addrs, false, salt++));
-        });
-
-        std::vector<Tick> ticks(modelOpCount);
-        {
-            // Latencies in the platform's real range (~0.4..3 us),
-            // plus exact bin boundaries via the modulus pattern.
-            Xoshiro256StarStar rng(13);
-            for (Tick &t : ticks)
-                t = 400000 + rng.nextBounded(2600000);
-        }
-        {
-            std::vector<StatsPortState> a(modelPortCount);
-            std::vector<StatsPortState> b(modelPortCount);
-            statsPerSampleRun(a, ticks);
-            statsBatchedRun(b, ticks);
-            if (statsChecksum(a) != statsChecksum(b))
-                fatal("batched stats flush diverges from the "
-                      "per-sample path");
-        }
-        // Interleaved rep pairs (the dispatch A/B's recipe): the
-        // per-sample side is latency-bound on the Welford divide
-        // chain, so host frequency drift between back-to-back blocks
-        // folds straight into a per-side min-of-N ratio.
-        for (unsigned i = 0; i < model_reps; ++i) {
-            const double per_sample = minWallMs(1, [&] {
-                std::vector<StatsPortState> ports(modelPortCount);
-                statsPerSampleRun(ports, ticks);
-                benchmark::DoNotOptimize(statsChecksum(ports));
-            });
-            const double batched_ms = minWallMs(1, [&] {
-                std::vector<StatsPortState> ports(modelPortCount);
-                statsBatchedRun(ports, ticks);
-                benchmark::DoNotOptimize(statsChecksum(ports));
-            });
-            if (i == 0 || per_sample < out.statsPerSampleMs)
-                out.statsPerSampleMs = per_sample;
-            if (i == 0 || batched_ms < out.statsBatchedMs)
-                out.statsBatchedMs = batched_ms;
-            if (i == 0 ||
-                per_sample / batched_ms > out.statsBestRatio)
-                out.statsBestRatio = per_sample / batched_ms;
-        }
-
-        if (issuePerCallRun(modelOpCount, 0x1234) !=
-            issueWindowedRun(modelOpCount, 0x1234))
-            fatal("windowed GUPS issue diverges from the per-call "
-                  "address stream");
-        // Interleaved rep pairs (the dispatch A/B's recipe): the two
-        // sides are close enough that host frequency drift between
-        // back-to-back blocks would fold straight into the ratio.
-        for (unsigned i = 0; i < model_reps; ++i) {
-            const double per_call = minWallMs(1, [&] {
+        out.decode = racePairs(
+            9,
+            [&] {
                 benchmark::DoNotOptimize(
-                    issuePerCallRun(modelOpCount, salt++));
-            });
-            const double windowed = minWallMs(1, [&] {
+                    mapperDecodeRun(mapper, addrs, true, salt++));
+            },
+            [&] {
                 benchmark::DoNotOptimize(
-                    issueWindowedRun(modelOpCount, salt++));
+                    mapperDecodeRun(mapper, addrs, false, salt++));
             });
-            if (i == 0 || per_call < out.issuePerCallMs)
-                out.issuePerCallMs = per_call;
-            if (i == 0 || windowed < out.issueWindowedMs)
-                out.issueWindowedMs = windowed;
-            if (i == 0 || per_call / windowed > out.issueBestRatio)
-                out.issueBestRatio = per_call / windowed;
-        }
 
-        // Backend dispatch: the virtual accept() path must reproduce
-        // the direct bank-array ticks exactly before either side is
-        // timed (it is the pre-refactor model, bit for bit).
-        std::vector<Packet> pkts;
-        std::vector<Tick> dispatchArrivals;
-        makeDispatchStream(pkts, dispatchArrivals);
-        if (dispatchRun<DirectVaultReplica>(pkts, dispatchArrivals, 0) !=
-            dispatchRun<VaultController>(pkts, dispatchArrivals, 0))
-            fatal("vault backend interface diverges from the direct "
-                  "bank-array formulation");
-        // Interleaved min-of-9: the two sides are so close that
-        // back-to-back blocks would fold frequency drift into the
-        // ratio; alternating reps exposes both sides to the same
-        // host conditions.
-        constexpr unsigned dispatch_reps = 9;
-        for (unsigned i = 0; i < dispatch_reps; ++i) {
-            const double direct = minWallMs(1, [&] {
-                benchmark::DoNotOptimize(
-                    dispatchRun<DirectVaultReplica>(
-                        pkts, dispatchArrivals, salt++));
-            });
-            const double virt = minWallMs(1, [&] {
-                benchmark::DoNotOptimize(dispatchRun<VaultController>(
-                    pkts, dispatchArrivals, salt++));
-            });
-            if (i == 0 || direct < out.dispatchDirectMs)
-                out.dispatchDirectMs = direct;
-            if (i == 0 || virt < out.dispatchVirtualMs)
-                out.dispatchVirtualMs = virt;
-            if (i == 0 || direct / virt > out.dispatchBestRatio)
-                out.dispatchBestRatio = direct / virt;
-        }
-
-        // Snapshot-fork A/B: the warmed sweep must reproduce the cold
-        // sweep's stat digests bit for bit before timing.
         if (forkSweepRun(false, 0) != forkSweepRun(true, 0))
             fatal("warm-start fork sweep diverges from the cold "
                   "sweep");
-        out.forkColdMs = minWallMs(reps, [&] {
-            benchmark::DoNotOptimize(forkSweepRun(false, salt++));
-        });
-        out.forkWarmMs = minWallMs(reps, [&] {
-            benchmark::DoNotOptimize(forkSweepRun(true, salt++));
-        });
+        out.fork = racePairs(
+            7,
+            [&] { benchmark::DoNotOptimize(forkSweepRun(false, salt++)); },
+            [&] { benchmark::DoNotOptimize(forkSweepRun(true, salt++)); });
         return out;
     }();
     return r;
 }
 
-/** Platform wall-clock budget in ms for the perf guard (override with
- *  HMCSIM_PERF_PLATFORM_BUDGET_MS). Re-baselined from PR 4's 15.5 ms:
- *  the same binary's min-of-N swings between ~13 and ~17 ms run to
- *  run on a shared runner, so the budget sits above the observed
- *  noise band while still failing on any real (>25%) hot-path
- *  regression. */
-double
-platformBudgetMs()
+void
+printRace(const char *what, const char *slow, const char *fast,
+          const PairedRace &race)
 {
-    if (const char *env = std::getenv("HMCSIM_PERF_PLATFORM_BUDGET_MS")) {
-        const double v = std::atof(env);
-        if (v > 0.0)
-            return v;
-    }
-    return 18.0;
+    std::printf("%s (%u interleaved pairs): %s %.1f ms vs %s %.1f ms, "
+                "median pair ratio %.2fx (p25 %.2fx, p75 %.2fx; "
+                "budget %.1fx)\n",
+                what, race.pairs, slow, race.slowMs, fast, race.fastMs,
+                race.ratioMedian, race.ratioP25, race.ratioP75,
+                ratioBudget);
 }
 
 void
 printFigure()
 {
     const SimcoreResults &r = results();
-    std::printf("\nEvent-core performance: legacy heap+std::function "
-                "vs calendar queue (min of 3)\n\n");
-    TextTable table(
-        {"Workload", "Legacy ms", "Calendar ms", "Speedup"});
-    table.addRow({"1e6-pending drain", strfmt("%.1f", r.drainLegacyMs),
-                  strfmt("%.1f", r.drainCalendarMs),
-                  strfmt("%.2fx", r.drainSpeedup())});
-    table.addRow({"2e6-event steady chains",
-                  strfmt("%.1f", r.chainLegacyMs),
-                  strfmt("%.1f", r.chainCalendarMs),
-                  strfmt("%.2fx", r.chainSpeedup())});
+    std::printf("\nCalendar event core (median of 3):\n\n");
+    TextTable table({"Workload", "ms", "M events/s", "ns/event"});
+    table.addRow({"1e6-pending drain", strfmt("%.1f", r.drainMs),
+                  strfmt("%.1f", eventsPerSec(drainEvents, r.drainMs) / 1e6),
+                  strfmt("%.1f", nsPerEvent(drainEvents, r.drainMs))});
+    table.addRow({"2e6-event steady chains", strfmt("%.1f", r.chainMs),
+                  strfmt("%.1f", eventsPerSec(chainEvents, r.chainMs) / 1e6),
+                  strfmt("%.1f", nsPerEvent(chainEvents, r.chainMs))});
     table.print();
-    std::printf("\nCalendar core: %.1fM events/s (%.1f ns/event) on the "
-                "steady-chain microbench\n",
-                r.chainEventsPerSec() / 1e6, r.chainNsPerEvent());
+    std::printf("\n");
 
-    std::printf("\nModel-path microbenches: per-packet formulation vs "
-                "shipping fast path (min of 5, bit-identical "
-                "results)\n\n");
-    TextTable model(
-        {"Model path", "Per-packet ms", "Fast-path ms", "Speedup"});
-    model.addRow({"address decode (4M)",
-                  strfmt("%.1f", r.mapperDivmodMs),
-                  strfmt("%.1f", r.mapperPlanMs),
-                  strfmt("%.2fx", r.mapperSpeedup())});
-    model.addRow({"latency stats (4M samples, 9 ports)",
-                  strfmt("%.1f", r.statsPerSampleMs),
-                  strfmt("%.1f", r.statsBatchedMs),
-                  strfmt("%.2fx", r.statsSpeedup())});
-    model.addRow({"GUPS issue addresses (4M)",
-                  strfmt("%.1f", r.issuePerCallMs),
-                  strfmt("%.1f", r.issueWindowedMs),
-                  strfmt("%.2fx", r.issueSpeedup())});
-    model.print();
+    printRace("Address decode (4M, bit-identical)", "div/mod reference",
+              "plan", r.decode);
+    printRace("Snapshot-fork warm start (12-point measure-axis sweep, "
+              "one worker, bit-identical digests)",
+              "cold", "warmed", r.fork);
 
-    std::printf("\nBackend dispatch (2M vault packets): direct array "
-                "%.1f ms vs virtual accept() %.1f ms, best paired "
-                "ratio %.3fx (1.0 = free; guard floor 0.98)\n",
-                r.dispatchDirectMs, r.dispatchVirtualMs,
-                r.dispatchRatio());
-
-    std::printf("\nSnapshot-fork warm start (%u-point measure-axis "
-                "sweep, one worker, bit-identical digests): cold "
-                "%.1f ms vs warmed %.1f ms = %.2fx\n",
-                forkSweepPoints, r.forkColdMs, r.forkWarmMs,
-                r.forkSpeedup());
-
-    std::printf("\nPlatform (fig06-style, 9-port ro, %.0f us sim): "
-                "%llu events in %.1f ms = %.1fM events/s "
-                "(%.1f ns/event; budget %.1f ms)\n\n",
+    std::printf("\nPlatform (fig06-style, 9-port ro, %.0f us sim, median "
+                "of 7): %llu events in %.1f ms = %.1fM events/s "
+                "(%.1f ns/event)\n\n",
                 r.platformSimUs,
                 static_cast<unsigned long long>(r.platformEvents),
-                r.platformWallMs, r.platformEventsPerSec() / 1e6,
-                r.platformNsPerEvent(), platformBudgetMs());
+                r.platformWallMs,
+                eventsPerSec(r.platformEvents, r.platformWallMs) / 1e6,
+                nsPerEvent(r.platformEvents, r.platformWallMs));
+}
+
+void
+writeEventCore(std::FILE *f, const char *name, std::uint64_t events,
+               double ms, const char *sep)
+{
+    std::fprintf(f,
+                 "    \"%s\": {\"events\": %llu, \"calendar_ms\": %.3f, "
+                 "\"events_per_sec\": %.0f, \"ns_per_event\": %.2f}%s\n",
+                 name, static_cast<unsigned long long>(events), ms,
+                 eventsPerSec(events, ms), nsPerEvent(events, ms), sep);
+}
+
+void
+writeRace(std::FILE *f, const char *name, const char *fields,
+          const char *slow, const char *fast, const PairedRace &race)
+{
+    std::fprintf(f,
+                 "  \"%s\": {%s, \"pairs\": %u, \"%s_ms\": %.3f, "
+                 "\"%s_ms\": %.3f, \"ratio\": {\"median\": %.3f, "
+                 "\"p25\": %.3f, \"p75\": %.3f}, \"budget\": %.1f},\n",
+                 name, fields, race.pairs, slow, race.slowMs, fast,
+                 race.fastMs, race.ratioMedian, race.ratioP25,
+                 race.ratioP75, ratioBudget);
 }
 
 void
@@ -931,90 +450,33 @@ writeJson()
     }
     std::fprintf(f, "{\n");
     std::fprintf(f, "  \"bench\": \"simcore\",\n");
-    std::fprintf(f, "  \"microbench\": {\n");
-    std::fprintf(
-        f,
-        "    \"pending_drain\": {\"events\": %llu, "
-        "\"legacy_heap_ms\": %.3f, \"calendar_ms\": %.3f, "
-        "\"speedup\": %.3f},\n",
-        static_cast<unsigned long long>(drainEvents), r.drainLegacyMs,
-        r.drainCalendarMs, r.drainSpeedup());
-    std::fprintf(
-        f,
-        "    \"steady_chains\": {\"events\": %llu, "
-        "\"legacy_heap_ms\": %.3f, \"calendar_ms\": %.3f, "
-        "\"speedup\": %.3f, \"events_per_sec\": %.0f, "
-        "\"ns_per_event\": %.2f}\n",
-        static_cast<unsigned long long>(chainEvents), r.chainLegacyMs,
-        r.chainCalendarMs, r.chainSpeedup(), r.chainEventsPerSec(),
-        r.chainNsPerEvent());
+    std::fprintf(f, "  \"event_core\": {\n");
+    writeEventCore(f, "pending_drain", drainEvents, r.drainMs, ",");
+    writeEventCore(f, "steady_chains", chainEvents, r.chainMs, "");
     std::fprintf(f, "  },\n");
-    std::fprintf(f, "  \"model_path\": {\n");
-    std::fprintf(
-        f,
-        "    \"address_decode\": {\"addresses\": %llu, "
-        "\"divmod_ms\": %.3f, \"plan_ms\": %.3f, \"speedup\": %.3f},\n",
-        static_cast<unsigned long long>(modelOpCount), r.mapperDivmodMs,
-        r.mapperPlanMs, r.mapperSpeedup());
-    std::fprintf(
-        f,
-        "    \"stats_flush\": {\"samples\": %llu, \"ports\": %u, "
-        "\"per_sample_ms\": %.3f, \"batched_ms\": %.3f, "
-        "\"speedup\": %.3f},\n",
-        static_cast<unsigned long long>(modelOpCount), modelPortCount,
-        r.statsPerSampleMs, r.statsBatchedMs, r.statsSpeedup());
-    std::fprintf(
-        f,
-        "    \"gups_issue\": {\"addresses\": %llu, "
-        "\"per_call_ms\": %.3f, \"windowed_ms\": %.3f, "
-        "\"speedup\": %.3f},\n",
-        static_cast<unsigned long long>(modelOpCount), r.issuePerCallMs,
-        r.issueWindowedMs, r.issueSpeedup());
-    std::fprintf(
-        f,
-        "    \"backend_dispatch\": {\"requests\": %llu, "
-        "\"direct_ms\": %.3f, \"virtual_ms\": %.3f, "
-        "\"ratio\": %.3f}\n",
-        static_cast<unsigned long long>(dispatchOpCount),
-        r.dispatchDirectMs, r.dispatchVirtualMs, r.dispatchRatio());
-    std::fprintf(f, "  },\n");
-    std::fprintf(
-        f,
-        "  \"snapshot_fork\": {\"points\": %u, \"jobs\": 1, "
-        "\"warmup_us\": 40, \"cold_ms\": %.3f, \"warm_ms\": %.3f, "
-        "\"speedup\": %.3f},\n",
-        forkSweepPoints, r.forkColdMs, r.forkWarmMs, r.forkSpeedup());
+    writeRace(f, "address_decode", strfmt("\"addresses\": %zu",
+                                          decodeCount).c_str(),
+              "reference", "plan", r.decode);
+    writeRace(f, "snapshot_fork",
+              strfmt("\"points\": %u, \"jobs\": 1, \"warmup_us\": 40",
+                     forkSweepPoints)
+                  .c_str(),
+              "cold", "warm", r.fork);
     std::fprintf(
         f,
         "  \"platform\": {\"workload\": \"fig06-style 9-port ro "
         "random 200us\", \"events\": %llu, \"wall_ms\": %.3f, "
-        "\"events_per_sec\": %.0f, \"ns_per_event\": %.2f},\n",
+        "\"events_per_sec\": %.0f, \"ns_per_event\": %.2f}\n",
         static_cast<unsigned long long>(r.platformEvents),
-        r.platformWallMs, r.platformEventsPerSec(),
-        r.platformNsPerEvent());
-    std::fprintf(f,
-                 "  \"guard\": {\"speedup_budget\": 1.5, "
-                 "\"steady_chain_speedup\": %.3f, "
-                 "\"address_decode_speedup\": %.3f, "
-                 "\"stats_flush_speedup\": %.3f, "
-                 "\"gups_issue_speedup\": %.3f, "
-                 "\"snapshot_fork_speedup\": %.3f, "
-                 "\"backend_dispatch_floor\": 0.98, "
-                 "\"backend_dispatch_ratio\": %.3f, "
-                 "\"platform_budget_ms\": %.1f, "
-                 "\"platform_wall_ms\": %.3f}\n",
-                 r.chainSpeedup(), r.mapperSpeedup(), r.statsSpeedup(),
-                 r.issueSpeedup(), r.forkSpeedup(),
-                 r.dispatchRatio(), platformBudgetMs(),
-                 r.platformWallMs);
+        r.platformWallMs, eventsPerSec(r.platformEvents, r.platformWallMs),
+        nsPerEvent(r.platformEvents, r.platformWallMs));
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("wrote %s\n\n", path);
 }
 
 // ---------------------------------------------------------------------
-// google-benchmark registrations (kept name-compatible with the
-// pre-rewrite binary so --benchmark_filter comparisons line up).
+// google-benchmark registrations.
 // ---------------------------------------------------------------------
 
 void
@@ -1032,21 +494,6 @@ BM_EventQueueThroughput(benchmark::State &state)
     state.SetLabel("events");
 }
 BENCHMARK(BM_EventQueueThroughput)->Unit(benchmark::kMillisecond);
-
-void
-BM_LegacyHeapThroughput(benchmark::State &state)
-{
-    // The same workload on the replicated pre-rewrite core.
-    std::uint64_t executed = 0;
-    for (auto _ : state) {
-        LegacyHeapQueue queue;
-        executed += steadyChains(queue, 100000);
-        benchmark::DoNotOptimize(executed);
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(executed));
-    state.SetLabel("events");
-}
-BENCHMARK(BM_LegacyHeapThroughput)->Unit(benchmark::kMillisecond);
 
 void
 BM_FullPlatformSimulation(benchmark::State &state)
@@ -1117,56 +564,19 @@ main(int argc, char **argv)
     if (guard && guard[0] == '1') {
         const SimcoreResults &r = results();
         int failures = 0;
-        const auto require = [&failures](double speedup, double budget,
-                                         const char *what) {
-            if (speedup < budget) {
+        const auto require = [&failures](const PairedRace &race,
+                                          const char *what) {
+            if (race.ratioMedian < ratioBudget) {
                 std::fprintf(stderr,
-                             "FAIL: %s is only %.2fx its per-packet "
-                             "formulation (budget %.2fx)\n",
-                             what, speedup, budget);
+                             "FAIL: %s median pair ratio is %.2fx "
+                             "(p25 %.2fx, p75 %.2fx; budget %.1fx)\n",
+                             what, race.ratioMedian, race.ratioP25,
+                             race.ratioP75, ratioBudget);
                 ++failures;
             }
         };
-        require(r.chainSpeedup(), 1.5,
-                "calendar core (steady-chain workload)");
-        require(r.mapperSpeedup(), 1.5, "precompiled address plan");
-        // The stats comparator is latency-bound on the per-sample
-        // Welford divide chain and its wall time swings ~40% with the
-        // runner's frequency/alignment state (typical speedup
-        // 1.5-1.6x). Guarded on the best interleaved pair
-        // (statsBestRatio), which still bottoms out near ~1.18x on a
-        // shared runner whose divide latency hides the batching win;
-        // the budget sits under that floor -- the regression this
-        // guard exists for (batched path no faster than per-sample)
-        // reads ~1.0x.
-        require(r.statsSpeedup(), 1.1, "batched stats flush");
-        // The issue comparator is guarded on the best interleaved
-        // pair (see issueBestRatio) and still swings 1.4-2.1x run to
-        // run: both sides are a tight rng-and-mask loop whose wall
-        // time tracks the runner's frequency state. Budget re-based
-        // below the observed floor (was 1.5, tuned on a runner that
-        // measured 1.74x) so the guard catches a real fast-path
-        // regression without flaking on drift.
-        require(r.issueSpeedup(), 1.3, "windowed GUPS issue");
-        require(r.forkSpeedup(), 1.5,
-                "snapshot-fork warmed sweep (per worker)");
-        // The MemoryBackend interface must stay within 2% of the
-        // direct bank array on the vault hot path.
-        if (r.dispatchRatio() < 0.98) {
-            std::fprintf(stderr,
-                         "FAIL: virtual backend dispatch runs at "
-                         "%.3fx the direct bank array (floor 0.98x, "
-                         "i.e. <2%% overhead)\n",
-                         r.dispatchRatio());
-            ++failures;
-        }
-        if (r.platformWallMs > platformBudgetMs()) {
-            std::fprintf(stderr,
-                         "FAIL: fig06-style platform window took "
-                         "%.2f ms (budget %.1f ms)\n",
-                         r.platformWallMs, platformBudgetMs());
-            ++failures;
-        }
+        require(r.decode, "precompiled address plan");
+        require(r.fork, "snapshot-fork warmed sweep (per worker)");
         if (failures)
             return 1;
     }

@@ -641,6 +641,8 @@ runRunCommand(int argc, char **argv, int first)
     const ExperimentConfig cfg = resolveExperiment(keys);
     if (!validCoolingIndex(cooling))
         badInput("cooling " + std::to_string(cooling) + " must be 1..4");
+    if (const char *why = replayWindowError(replay_window))
+        badInput("window " + std::to_string(replay_window) + " " + why);
     if (selfcheck)
         return reportSelfCheck(cfg);
 

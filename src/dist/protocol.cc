@@ -1,8 +1,11 @@
 #include "dist/protocol.hh"
 
+#include <charconv>
+#include <concepts>
 #include <cstdio>
-#include <cstdlib>
-#include <sstream>
+#include <string_view>
+
+#include "sim/text.hh"
 
 namespace hmcsim
 {
@@ -10,19 +13,52 @@ namespace hmcsim
 namespace
 {
 
-/** Token-wise "<verb> [v1] key value ..." reader. */
+// Verbs are read word by word with popWord, numbers with the strict
+// decimal reader the experiment keys use: no sign, no leading zero,
+// no trailing junk, and the value must fit its field.
+
 bool
-expectToken(std::istringstream &in, const char *token)
+expectWord(std::string_view &line, std::string_view token)
 {
-    std::string word;
-    return (in >> word) && word == token;
+    return popWord(line) == token;
+}
+
+template <std::integral T>
+bool
+popNumber(std::string_view &line, T &out)
+{
+    return parseKeyNumber(popWord(line), out) == nullptr;
+}
+
+/** A 0/1 flag word. */
+bool
+popFlag(std::string_view &line, bool &out)
+{
+    const std::string_view word = popWord(line);
+    if (word != "0" && word != "1")
+        return false;
+    out = word == "1";
+    return true;
+}
+
+/** The 16 hex digits formatPoint() writes. */
+bool
+popDigest(std::string_view &line, std::uint64_t &out)
+{
+    const std::string_view word = popWord(line);
+    const char *end = word.data() + word.size();
+    std::uint64_t v = 0;
+    const auto [ptr, ec] = std::from_chars(word.data(), end, v, 16);
+    if (word.size() != 16 || ec != std::errc() || ptr != end)
+        return false;
+    out = v;
+    return true;
 }
 
 bool
-atEnd(std::istringstream &in)
+atEnd(std::string_view line)
 {
-    std::string rest;
-    return !(in >> rest);
+    return popWord(line).empty();
 }
 
 } // namespace
@@ -30,73 +66,61 @@ atEnd(std::istringstream &in)
 std::string
 formatHello(unsigned jobs)
 {
-    std::ostringstream out;
-    out << "hello " << distProtocolVersion << " jobs " << jobs;
-    return out.str();
+    return std::string("hello ") + distProtocolVersion + " jobs " +
+           std::to_string(jobs);
 }
 
 bool
 parseHello(const std::string &line, unsigned &jobs)
 {
-    std::istringstream in(line);
-    return expectToken(in, "hello") &&
-           expectToken(in, distProtocolVersion) &&
-           expectToken(in, "jobs") && (in >> jobs) && atEnd(in);
+    std::string_view in = line;
+    return expectWord(in, "hello") && expectWord(in, distProtocolVersion) &&
+           expectWord(in, "jobs") && popNumber(in, jobs) && atEnd(in);
 }
 
 std::string
 formatWelcome(bool warm_start, std::size_t total_points)
 {
-    std::ostringstream out;
-    out << "welcome " << distProtocolVersion << " warm "
-        << (warm_start ? 1 : 0) << " points " << total_points;
-    return out.str();
+    return std::string("welcome ") + distProtocolVersion + " warm " +
+           (warm_start ? "1" : "0") + " points " +
+           std::to_string(total_points);
 }
 
 bool
 parseWelcome(const std::string &line, bool &warm_start,
              std::size_t &total_points)
 {
-    std::istringstream in(line);
-    unsigned warm = 0;
-    if (!(expectToken(in, "welcome") &&
-          expectToken(in, distProtocolVersion) &&
-          expectToken(in, "warm") && (in >> warm) &&
-          expectToken(in, "points") && (in >> total_points) &&
-          atEnd(in)))
-        return false;
-    warm_start = warm != 0;
-    return true;
+    std::string_view in = line;
+    return expectWord(in, "welcome") &&
+           expectWord(in, distProtocolVersion) && expectWord(in, "warm") &&
+           popFlag(in, warm_start) && expectWord(in, "points") &&
+           popNumber(in, total_points) && atEnd(in);
 }
 
 std::string
 formatWant(unsigned max_points)
 {
-    std::ostringstream out;
-    out << "want " << max_points;
-    return out.str();
+    return "want " + std::to_string(max_points);
 }
 
 bool
 parseWant(const std::string &line, unsigned &max_points)
 {
-    std::istringstream in(line);
-    return expectToken(in, "want") && (in >> max_points) && atEnd(in);
+    std::string_view in = line;
+    return expectWord(in, "want") && popNumber(in, max_points) && atEnd(in);
 }
 
 std::string
 formatGranted(std::size_t count)
 {
-    std::ostringstream out;
-    out << "granted " << count;
-    return out.str();
+    return "granted " + std::to_string(count);
 }
 
 bool
 parseGranted(const std::string &line, std::size_t &count)
 {
-    std::istringstream in(line);
-    return expectToken(in, "granted") && (in >> count) && atEnd(in);
+    std::string_view in = line;
+    return expectWord(in, "granted") && popNumber(in, count) && atEnd(in);
 }
 
 std::string
@@ -118,46 +142,34 @@ formatPoint(std::size_t index, std::uint64_t digest,
     char hex[24];
     std::snprintf(hex, sizeof(hex), "%016llx",
                   static_cast<unsigned long long>(digest));
-    std::ostringstream out;
-    out << "point " << index << ' ' << hex << '\n' << config_blob;
-    return out.str();
+    return "point " + std::to_string(index) + ' ' + hex + '\n' +
+           config_blob;
 }
 
 bool
 parsePointHeader(const std::string &line, std::size_t &index,
                  std::uint64_t &digest)
 {
-    std::istringstream in(line);
-    std::string hex;
-    if (!(expectToken(in, "point") && (in >> index) && (in >> hex) &&
-          atEnd(in)))
-        return false;
-    char *end = nullptr;
-    digest = std::strtoull(hex.c_str(), &end, 16);
-    return end && *end == '\0' && !hex.empty();
+    std::string_view in = line;
+    return expectWord(in, "point") && popNumber(in, index) &&
+           popDigest(in, digest) && atEnd(in);
 }
 
 std::string
 formatResult(std::size_t index, bool simulated,
              const std::string &fields_blob)
 {
-    std::ostringstream out;
-    out << "result " << index << ' ' << (simulated ? 1 : 0) << '\n'
-        << fields_blob;
-    return out.str();
+    return "result " + std::to_string(index) + ' ' +
+           (simulated ? '1' : '0') + '\n' + fields_blob;
 }
 
 bool
 parseResultHeader(const std::string &line, std::size_t &index,
                   bool &simulated)
 {
-    std::istringstream in(line);
-    unsigned sim = 0;
-    if (!(expectToken(in, "result") && (in >> index) && (in >> sim) &&
-          atEnd(in)))
-        return false;
-    simulated = sim != 0;
-    return true;
+    std::string_view in = line;
+    return expectWord(in, "result") && popNumber(in, index) &&
+           popFlag(in, simulated) && atEnd(in);
 }
 
 void

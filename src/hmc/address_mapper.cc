@@ -12,14 +12,26 @@ namespace hmcsim
 namespace
 {
 unsigned
-log2Exact(std::uint64_t v, const char *what)
+log2Of(std::uint64_t pow2)
 {
-    if (v == 0 || (v & (v - 1)) != 0)
-        fatal("%s must be a power of two (got %llu)", what,
-              static_cast<unsigned long long>(v));
-    return static_cast<unsigned>(std::countr_zero(v));
+    return static_cast<unsigned>(std::countr_zero(pow2));
 }
 } // namespace
+
+const char *
+deviceStructureError(const HmcConfig &cfg)
+{
+    if (!std::has_single_bit(cfg.capacity))
+        return "device capacity must be a power of two";
+    // Vault and bank ids travel in 8-bit fields (DecodedAddress).
+    if (!std::has_single_bit(cfg.numVaults) || cfg.numVaults > 256)
+        return "vault count must be a power of two up to 256";
+    if (!std::has_single_bit(cfg.banksPerVault()) || cfg.banksPerVault() > 256)
+        return "banks per vault must be a power of two up to 256";
+    if (cfg.numQuadrants == 0 || cfg.numQuadrants > cfg.numVaults)
+        return "quadrant count must be from 1 to the vault count";
+    return nullptr;
+}
 
 const char *
 mappingSchemeName(MappingScheme scheme)
@@ -45,11 +57,14 @@ AddressMapper::AddressMapper(const HmcConfig &cfg, MaxBlockSize max_block,
     if (!validMaxBlock(max_block))
         fatal("max block must be 16, 32, 64 or 128 B (got %llu)",
               static_cast<unsigned long long>(_maxBlock));
-    _addrBits = log2Exact(cfg.capacity, "device capacity");
-    const unsigned block_bits = log2Exact(_maxBlock / 16, "block ratio");
-    const unsigned field_base = 4 + block_bits;
-    _vaultBits = log2Exact(cfg.numVaults, "vault count");
-    _bankBits = log2Exact(cfg.banksPerVault(), "banks per vault");
+    if (const char *why = deviceStructureError(cfg))
+        fatal("%s (%s: %llu B, %u vaults, %u banks, %u quadrants)", why,
+              cfg.name.c_str(), static_cast<unsigned long long>(cfg.capacity),
+              cfg.numVaults, cfg.numBanks(), cfg.numQuadrants);
+    _addrBits = log2Of(cfg.capacity);
+    const unsigned field_base = 4 + log2Of(_maxBlock / 16);
+    _vaultBits = log2Of(cfg.numVaults);
+    _bankBits = log2Of(cfg.banksPerVault());
     switch (_scheme) {
       case MappingScheme::VaultFirst:
         _vaultShift = field_base;

@@ -82,6 +82,12 @@ validMaxBlock(MaxBlockSize block)
            block == MaxBlockSize::B64 || block == MaxBlockSize::B128;
 }
 
+/** nullptr if AddressMapper can split @p cfg's addresses into fields
+ *  (capacity, vault count and banks per vault are powers of two, the
+ *  counts at most 256, and there are 1 to numVaults quadrants); else
+ *  why not. */
+const char *deviceStructureError(const HmcConfig &cfg);
+
 /** Low-order-interleaved HMC address mapper. */
 class AddressMapper
 {

@@ -168,8 +168,9 @@ class VaultController
     std::unique_ptr<MemoryBackend> storage;
     /** Devirtualized view of `storage` when it is the default HMC
      *  DRAM array: the per-packet accept() then inlines into
-     *  serviceTimed instead of going through the vtable, keeping the
-     *  interface inside bench_simulator_perf's <2% dispatch budget.
+     *  serviceTimed instead of going through the vtable, so the
+     *  default path pays no dispatch cost for the interface (judged
+     *  end to end by perfbench's campaign, docs/performance.md).
      *  Null for every other backend kind. */
     HmcDramBackend *fastHmc = nullptr;
     /** storage->timings(), hoisted at construction: every backend

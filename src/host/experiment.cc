@@ -34,6 +34,8 @@ validateExperimentConfig(const ExperimentConfig &cfg, std::string &error)
         error = "maxblock " +
                 std::to_string(static_cast<unsigned>(cfg.device.maxBlock)) +
                 " must be 16, 32, 64 or 128";
+    else if (const char *why = deviceStructureError(cfg.device.structure))
+        error = std::string("structure: ") + why;
     else if (!(ber >= 0.0 && ber <= 1.0))
         error = "ber must be within [0, 1]";
     else if (!(refresh >= 0.0 && std::isfinite(refresh)))
@@ -191,15 +193,6 @@ runExperiment(const ExperimentConfig &cfg, std::uint64_t *statDigest)
     if (statDigest)
         *statDigest = artifacts.statDigest;
     return res;
-}
-
-MeasurementResult
-runDdrBaselineExperiment(const ExperimentConfig &cfg,
-                         const RunOptions &opts, RunArtifacts *artifacts)
-{
-    ExperimentConfig ddr = cfg;
-    ddr.device.vault.backend.kind = BackendKind::Ddr4;
-    return runExperiment(ddr, opts, artifacts);
 }
 
 SelfCheckResult

@@ -91,11 +91,12 @@ struct MeasurementResult
 
 /**
  * Check @p cfg before any model is built from it: request size, port
- * count, max block, bit error rate and refresh multiplier in range,
- * and a non-empty measurement window that, with the warm-up, fits in
- * simulated time. Each rule a constructor enforces is the
- * constructor's own predicate. False with a one-line @p error that
- * names the offending key by its serve spelling (size, ports, ...).
+ * count, max block, device structure (deviceStructureError), bit
+ * error rate and refresh multiplier in range, and a non-empty
+ * measurement window that, with the warm-up, fits in simulated time.
+ * Each rule a constructor enforces is the constructor's own
+ * predicate. False with a one-line @p error that names the offending
+ * key by its serve spelling (size, ports, ...).
  * The access pattern is built already; its vault/bank count is
  * checked where it is built (runner/experiment_keys.hh).
  */
@@ -188,17 +189,6 @@ MeasurementResult runExperimentFrom(const WarmStart &warm,
  */
 MeasurementResult runExperiment(const ExperimentConfig &cfg,
                                 std::uint64_t *statDigest);
-
-/**
- * Deprecated compatibility shim (pre-backend API): runs @p cfg with
- * the vault storage forced to the DDR4 backend. Equivalent to setting
- * cfg.device.vault.backend.kind = BackendKind::Ddr4 and calling
- * runExperiment. Prefer selecting the backend through the config --
- * hmcsim-lint's deprecated-ddr-entry rule flags new callers.
- */
-MeasurementResult runDdrBaselineExperiment(
-    const ExperimentConfig &cfg, const RunOptions &opts = {},
-    RunArtifacts *artifacts = nullptr);
 
 /** Outcome of a determinism self-check (two identical runs). */
 struct SelfCheckResult

@@ -4,6 +4,7 @@
 
 #include "hmc/device.hh"
 #include "host/hmc_controller.hh"
+#include "sim/logging.hh"
 
 namespace hmcsim
 {
@@ -115,6 +116,8 @@ class TraceDriver
 TraceReplayResult
 replayTrace(const Trace &trace, const TraceReplayConfig &cfg)
 {
+    if (const char *why = replayWindowError(cfg.maxOutstanding))
+        fatal("trace replay window %u %s", cfg.maxOutstanding, why);
     TraceDriver driver(trace, cfg);
     return driver.run();
 }

@@ -30,6 +30,14 @@ struct TraceReplayConfig
     ControllerCalibration controller;
 };
 
+/** nullptr if @p max_outstanding can drive a replay (at least one
+ *  request in flight); else why not. */
+constexpr const char *
+replayWindowError(unsigned max_outstanding)
+{
+    return max_outstanding == 0 ? "must be at least 1" : nullptr;
+}
+
 /** Result of replaying a trace. */
 struct TraceReplayResult
 {

@@ -33,9 +33,9 @@ class HmcDramBackend final : public MemoryBackend
 
     // accept() and its refresh helpers are defined inline below: the
     // vault controller devirtualizes the default backend and calls
-    // them directly per packet, and bench_simulator_perf's dispatch
-    // guard holds the interface to <2% over the pre-interface model
-    // -- which needs these on the inlining path, not behind a call.
+    // them directly per packet, so they must sit on the inlining
+    // path, not behind a call, for the default path to pay no
+    // dispatch cost for the interface.
     BankAccessResult
     accept(const Packet &pkt, Tick ready) override
     {

@@ -1,6 +1,7 @@
 #include "runner/experiment_keys.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 
 #include "gups/patterns.hh"

@@ -24,8 +24,6 @@
 #ifndef HMCSIM_RUNNER_EXPERIMENT_KEYS_HH
 #define HMCSIM_RUNNER_EXPERIMENT_KEYS_HH
 
-#include <charconv>
-#include <concepts>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -35,6 +33,7 @@
 #include "host/experiment.hh"
 #include "runner/sweep.hh"
 #include "service/fleet.hh"
+#include "sim/text.hh"
 
 namespace hmcsim
 {
@@ -47,27 +46,6 @@ enum KeyScope : unsigned
     ServeKey = 2,
     AxisKey = 4,
 };
-
-/** Parse all of @p text as a plain decimal integer that fits @p out;
- *  nullptr on success, else why not (and @p out is untouched). */
-template <std::integral T>
-const char *
-parseKeyNumber(std::string_view text, T &out)
-{
-    // from_chars takes no '+' or space; '-' and a leading zero (which
-    // strtoul would read as octal) are refused here.
-    if (text.empty() || text[0] == '-' || (text.size() > 1 && text[0] == '0'))
-        return "is not a plain decimal integer";
-    T v{};
-    const char *end = text.data() + text.size();
-    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
-    if (ec == std::errc::result_out_of_range)
-        return "is out of range";
-    if (ec != std::errc() || ptr != end)
-        return "is not a plain decimal integer";
-    out = v;
-    return nullptr;
-}
 
 /** Parse all of @p text as a finite, unsigned decimal real ("1e6",
  *  "0.25"); nullptr on success, else why not. */

@@ -428,19 +428,6 @@ TEST(BackendExperiment, NvmWriteDrainThrottlesABoundBank)
     EXPECT_LT(nvm.mrps, dram.mrps * 0.5);
 }
 
-TEST(BackendExperiment, DeprecatedDdrShimMatchesExplicitSelection)
-{
-    const ExperimentConfig hmc =
-        backendProbeConfig(BackendKind::HmcDram);
-    const ExperimentConfig ddr = backendProbeConfig(BackendKind::Ddr4);
-    RunArtifacts viaShim;
-    RunArtifacts viaConfig;
-    // lint:allow(deprecated-ddr-entry) -- the shim's own test.
-    runDdrBaselineExperiment(hmc, RunOptions{}, &viaShim);
-    runExperiment(ddr, RunOptions{}, &viaConfig);
-    EXPECT_EQ(viaShim.statDigest, viaConfig.statDigest);
-}
-
 TEST(BackendExperiment, SelfCheckPassesOnEveryBackend)
 {
     for (const BackendKind kind :

@@ -320,6 +320,46 @@ TEST(Protocol, VerbsRoundTrip)
     EXPECT_FALSE(parseWant("want", want));
 }
 
+TEST(Protocol, VerbsRejectSignsLeadingZerosAndTrailingJunk)
+{
+    // Every number a verb carries is plain decimal that fits its
+    // field: "-1" once parsed as jobs = 4294967295.
+    const char *const bad[] = {"-1", "+7", "007", "7x", "7 junk",
+                               "99999999999999999999"};
+    const std::string digest = " 00000000000000ff";
+    for (const char *n : bad) {
+        const std::string v = n;
+        unsigned u = 0;
+        std::size_t z = 0;
+        std::uint64_t d = 0;
+        bool flag = false;
+        EXPECT_FALSE(parseHello("hello v1 jobs " + v, u)) << v;
+        EXPECT_FALSE(parseWant("want " + v, u)) << v;
+        EXPECT_FALSE(parseGranted("granted " + v, z)) << v;
+        EXPECT_FALSE(parsePointHeader("point " + v + digest, z, d)) << v;
+        EXPECT_FALSE(parseResultHeader("result " + v + " 1", z, flag)) << v;
+        EXPECT_FALSE(parseWelcome("welcome v1 warm 0 points " + v, flag, z))
+            << v;
+    }
+    std::size_t index = 0;
+    std::uint64_t d = 0;
+    bool flag = false;
+    // The digest is the 16 hex digits formatPoint writes, the flags
+    // are 0 or 1, and nothing may follow the last field.
+    for (const char *hex : {"ff", "-00000000000000ff", "0x000000000000ff",
+                            "00000000000000fg", "00000000000000ff0"})
+        EXPECT_FALSE(parsePointHeader(std::string("point 1 ") + hex, index, d))
+            << hex;
+    EXPECT_FALSE(parsePointHeader("point 1" + digest + " x", index, d));
+    EXPECT_FALSE(parseResultHeader("result 1 2", index, flag));
+    EXPECT_FALSE(parseResultHeader("result 1 01", index, flag));
+    EXPECT_FALSE(parseResultHeader("result 1 1 x", index, flag));
+    EXPECT_FALSE(parseWelcome("welcome v1 warm 2 points 1", flag, index));
+    EXPECT_TRUE(parsePointHeader("point 0" + digest, index, d));
+    EXPECT_EQ(index, 0u);
+    EXPECT_EQ(d, 0xffu);
+}
+
 // ---------------------------------------------------------------------
 // Shared result store
 // ---------------------------------------------------------------------
@@ -788,46 +828,53 @@ TEST(Distributed, CoordinatorAndWorkersMatchLocalByteForByte)
 
 TEST(Distributed, WorkerRefusesAWellFormedPointWithAnInvalidConfig)
 {
-    const std::filesystem::path sock =
-        std::filesystem::temp_directory_path() / "hmcsim_dist_invalid.sock";
-    NetAddress addr;
-    std::string error;
-    ASSERT_TRUE(parseNetAddress("unix:" + sock.string(), addr, error));
-    const int listenFd = netListen(addr, error);
-    ASSERT_GE(listenFd, 0) << error;
+    // Frames that are well formed and whose digest matches, but whose
+    // config no model accepts: a request size no packet carries, and a
+    // vault count the address mapper cannot split into fields.
+    ExperimentConfig badSize;
+    badSize.requestSize = 144;
+    ExperimentConfig badVaults;
+    badVaults.device.structure.numVaults = 3;
+    for (ExperimentConfig cfg : {badSize, badVaults}) {
+        cfg.measure = 10 * tickUs;
+        const std::filesystem::path sock =
+            std::filesystem::temp_directory_path() /
+            "hmcsim_dist_invalid.sock";
+        NetAddress addr;
+        std::string error;
+        ASSERT_TRUE(parseNetAddress("unix:" + sock.string(), addr, error));
+        const int listenFd = netListen(addr, error);
+        ASSERT_GE(listenFd, 0) << error;
 
-    int workerRc = -1;
-    std::thread worker([&sock, &workerRc] {
-        WorkerOptions w;
-        w.connectSpec = "unix:" + sock.string();
-        w.jobs = 1;
-        workerRc = runWorker(w);
-    });
+        int workerRc = -1;
+        std::thread worker([&sock, &workerRc] {
+            WorkerOptions w;
+            w.connectSpec = "unix:" + sock.string();
+            w.jobs = 1;
+            workerRc = runWorker(w);
+        });
 
-    // Play coordinator: grant one point whose frame is well formed and
-    // whose digest matches, but whose request size no packet carries.
-    const int fd = ::accept(listenFd, nullptr, nullptr);
-    ASSERT_GE(fd, 0);
-    std::string payload;
-    ASSERT_TRUE(readFrame(fd, payload)); // hello
-    ASSERT_TRUE(writeFrame(fd, formatWelcome(false, 1)));
-    ASSERT_TRUE(readFrame(fd, payload)); // want
-    ASSERT_TRUE(writeFrame(fd, formatGranted(1)));
-    ExperimentConfig cfg;
-    cfg.requestSize = 144;
-    cfg.measure = 10 * tickUs;
-    ASSERT_TRUE(writeFrame(
-        fd, formatPoint(0, configDigest(cfg), encodeExperimentConfig(cfg))));
+        // Play coordinator: grant the one point.
+        const int fd = ::accept(listenFd, nullptr, nullptr);
+        ASSERT_GE(fd, 0);
+        std::string payload;
+        ASSERT_TRUE(readFrame(fd, payload)); // hello
+        ASSERT_TRUE(writeFrame(fd, formatWelcome(false, 1)));
+        ASSERT_TRUE(readFrame(fd, payload)); // want
+        ASSERT_TRUE(writeFrame(fd, formatGranted(1)));
+        ASSERT_TRUE(writeFrame(fd, formatPoint(0, configDigest(cfg),
+                                               encodeExperimentConfig(cfg))));
 
-    // The worker refuses the point as it refuses a digest mismatch:
-    // it returns an error (this process is still here) and hangs up
-    // without resulting anything.
-    worker.join();
-    EXPECT_EQ(workerRc, 1);
-    EXPECT_FALSE(readFrame(fd, payload));
-    ::close(fd);
-    ::close(listenFd);
-    std::filesystem::remove(sock);
+        // The worker refuses the point as it refuses a digest
+        // mismatch: it returns an error (this process is still here)
+        // and hangs up without resulting anything.
+        worker.join();
+        EXPECT_EQ(workerRc, 1);
+        EXPECT_FALSE(readFrame(fd, payload));
+        ::close(fd);
+        ::close(listenFd);
+        std::filesystem::remove(sock);
+    }
 }
 
 TEST(Distributed, ReclaimsLeasesOfAClientThatDiesSilently)

@@ -112,15 +112,13 @@ TEST(LintRules, MutexUnguardedFiresOnlyOnUnannotatedMutex)
               expect("mutex_unguarded.cc", 9, "mutex-unguarded"));
 }
 
-TEST(LintRules, DeprecatedDdrEntryFiresOnBothEntryPoints)
+TEST(LintRules, DeprecatedDdrEntryFiresOnMeasureDdrPattern)
 {
-    // Lines 12-13 call the two deprecated standalone entry points;
-    // the comment mention on line 4 must stay silent.
+    // Line 10 calls the deprecated standalone entry point; the
+    // comment mention on line 4 must stay silent.
     EXPECT_EQ(machineOutput("deprecated_ddr_entry.cc"),
-              expect("deprecated_ddr_entry.cc", 12,
-                     "deprecated-ddr-entry") +
-                  expect("deprecated_ddr_entry.cc", 13,
-                         "deprecated-ddr-entry"));
+              expect("deprecated_ddr_entry.cc", 10,
+                     "deprecated-ddr-entry"));
 }
 
 TEST(LintRules, SnapshotSafeFiresInsideTaggedStructOnly)
@@ -160,7 +158,8 @@ TEST(LintSuppressions, DeprecatedDdrShimFilesAllowlisted)
     EXPECT_TRUE(
         lintFile("repo/src/baseline/ddr_channel.cc", call).empty());
     EXPECT_TRUE(
-        lintFile("repo/src/host/experiment.hh", call).empty());
+        lintFile("repo/src/baseline/ddr_channel.hh", call).empty());
+    EXPECT_EQ(lintFile("repo/src/host/experiment.hh", call).size(), 1U);
     EXPECT_EQ(lintFile("repo/src/hmc/device.cc", call).size(), 1U);
 }
 

@@ -246,6 +246,15 @@ TEST(TraceReplay, WindowScalesThroughput)
     }
 }
 
+TEST(TraceReplay, RejectsAZeroWindow)
+{
+    // A zero window would issue nothing and report zero bandwidth.
+    const Trace t = parseTraceString("R 0 128\n");
+    TraceReplayConfig rc;
+    rc.maxOutstanding = 0;
+    EXPECT_DEATH(replayTrace(t, rc), "window 0 must be at least 1");
+}
+
 TEST(TraceReplay, MixedTraceAccounting)
 {
     const Trace t = parseTraceString("R 0 128\nW 128 128\nA 256\n");

@@ -22,13 +22,11 @@ namespace
 const std::vector<std::pair<std::string, std::string>> kFileAllowlist = {
     // The one audited wall-clock source (timing metadata only).
     {"src/sim/wallclock.hh", "nondeterminism"},
-    // The deprecated standalone DDR baseline entry points live (and
-    // may reference themselves) in these four files; the rule exists
-    // to flag *new* callers elsewhere.
+    // The deprecated standalone DDR baseline entry point lives (and
+    // may reference itself) in these two files; the rule exists to
+    // flag *new* callers elsewhere.
     {"src/baseline/ddr_channel.cc", "deprecated-ddr-entry"},
     {"src/baseline/ddr_channel.hh", "deprecated-ddr-entry"},
-    {"src/host/experiment.cc", "deprecated-ddr-entry"},
-    {"src/host/experiment.hh", "deprecated-ddr-entry"},
 };
 
 const std::vector<RuleInfo> &
@@ -86,11 +84,11 @@ ruleTable()
          "write and read doubles through runner/kv_codec.hh's "
          "KvWriter/KvReader, which use %a (C99 hexfloat)"},
         {"deprecated-ddr-entry", "",
-         "call to a deprecated standalone DDR baseline entry point "
-         "(measureDdrPattern / runDdrBaselineExperiment)",
+         "call to the deprecated standalone DDR baseline entry point "
+         "(measureDdrPattern)",
          "the DDR4 organization is a vault storage backend now "
-         "(mem/backend.hh); the standalone entry points survive only "
-         "as compatibility shims for the existing baseline analyses "
+         "(mem/backend.hh); the standalone entry point survives only "
+         "as a compatibility shim for the existing baseline analyses "
          "(docs/backends.md)",
          "select the backend through the config instead: set "
          "device.vault.backend.kind = BackendKind::Ddr4, or sweep "
@@ -560,7 +558,7 @@ checkDeprecatedDdrEntry(const FileContext &ctx,
                         std::vector<Finding> &out)
 {
     static const std::regex re(
-        R"(\b(measureDdrPattern|runDdrBaselineExperiment)\s*\()");
+        R"(\bmeasureDdrPattern\s*\()");
     for (std::size_t i = 0; i < ctx.code.size(); ++i) {
         if (std::regex_search(ctx.code[i], re)) {
             addFinding(ctx, out, static_cast<int>(i) + 1,

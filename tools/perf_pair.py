@@ -1,0 +1,93 @@
+#!/usr/bin/env python3
+"""Paired end-to-end perf check of two checkouts of hmcsim.
+
+    python3 tools/perf_pair.py BASE_DIR HEAD_DIR
+
+Runs perfbench's campaign workload (python3 perfbench/run.py --workload
+campaign --seconds 10) in BASE_DIR and HEAD_DIR for five pairs,
+alternating which checkout goes first, and fails (exit 1) unless:
+
+  - every run reads correct: true;
+  - no head run has more failed outputs than the base run it is paired
+    with;
+  - head's median items_per_s is below base's by no more than the
+    items_per_s bound in HEAD_DIR's BENCHMARK.json.
+
+Each checkout builds its own perfbench binary under .bench_build/ on
+its first run. The campaign covers every layer of the platform: event
+core, GUPS issue, controller, link, HMC vault dispatch and stats flush.
+"""
+
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+WORKLOAD = "campaign"
+SECONDS = "10"
+PAIRS = 5
+METRIC = "items_per_s"
+
+
+def run(checkout):
+    """The result line of one perfbench run in @p checkout."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", WORKLOAD,
+         "--seconds", SECONDS],
+        cwd=checkout, stdout=subprocess.PIPE, text=True)
+    if done.returncode != 0:
+        sys.exit(f"perf_pair: perfbench exited with {done.returncode} "
+                 f"in {checkout}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def bound(checkout):
+    """The relative bound BENCHMARK.json declares for METRIC."""
+    declared = json.loads((checkout / "BENCHMARK.json").read_text())
+    return next(m["bound"] for m in declared["end_to_end"]
+                if m["name"] == METRIC)
+
+
+def main():
+    if len(sys.argv) != 3:
+        print("usage: python3 tools/perf_pair.py BASE_DIR HEAD_DIR",
+              file=sys.stderr)
+        return 2
+    base_dir, head_dir = (Path(arg).resolve() for arg in sys.argv[1:])
+    allowed = bound(head_dir)
+
+    base, head = [], []
+    for i in range(PAIRS):
+        order = ((base_dir, base), (head_dir, head))
+        for checkout, runs in order if i % 2 == 0 else reversed(order):
+            runs.append(run(checkout))
+        print(f"pair {i + 1}: base {base[-1]['metrics'][METRIC]['value']:.4g}"
+              f" head {head[-1]['metrics'][METRIC]['value']:.4g} {METRIC}",
+              flush=True)
+
+    problems = []
+    for i, (b, h) in enumerate(zip(base, head), 1):
+        for side, r in (("base", b), ("head", h)):
+            if r["correct"] is not True:
+                problems.append(f"pair {i}: {side} run is not correct")
+        if h["failed"] > b["failed"]:
+            problems.append(f"pair {i}: head failed {h['failed']} > "
+                            f"base failed {b['failed']}")
+    base_median = statistics.median(r["metrics"][METRIC]["value"]
+                                    for r in base)
+    head_median = statistics.median(r["metrics"][METRIC]["value"]
+                                    for r in head)
+    change = head_median / base_median - 1.0
+    print(f"{WORKLOAD} median {METRIC}: base {base_median:.4g}, "
+          f"head {head_median:.4g} ({change:+.1%}; bound -{allowed:.0%})")
+    if change < -allowed:
+        problems.append(f"head median {METRIC} is {-change:.1%} below base "
+                        f"(bound {allowed:.0%})")
+    for problem in problems:
+        print(f"FAIL: {problem}")
+    return 1 if problems else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
