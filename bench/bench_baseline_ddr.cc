@@ -13,8 +13,8 @@
 
 #include <benchmark/benchmark.h>
 
+#include "analysis/closed_loop.hh"
 #include "analysis/table.hh"
-#include "baseline/ddr_channel.hh"
 #include "bench_common.hh"
 #include "sim/logging.hh"
 
@@ -50,7 +50,7 @@ results()
 {
     static const std::vector<Row> rows = [] {
         std::vector<Row> out;
-        const DdrChannelConfig ddr;
+        const VaultConfig ddr = ddr4DimmVault();
 
         struct Shape
         {
@@ -66,7 +66,7 @@ results()
             {"random, high concurrency", false, 64, 9},
         };
         for (const Shape &shape : shapes) {
-            const DdrMeasurement d = measureDdrPattern(
+            const ClosedLoopResult d = measureClosedLoop(
                 ddr, shape.linear, 64, shape.ddrOutstanding, 200000);
             const MeasurementResult h =
                 hmcRun(shape.linear, shape.hmcPorts);

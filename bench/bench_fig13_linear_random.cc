@@ -17,7 +17,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "baseline/ddr_channel.hh"
+#include "analysis/closed_loop.hh"
 #include "bench_common.hh"
 #include "sim/logging.hh"
 
@@ -33,7 +33,7 @@ struct Fig13Results
 {
     // [pattern 0=16v,1=1v][mode 0=linear,1=random][size]
     double gbps[2][2][8];
-    DdrMeasurement ddrLinear, ddrRandom;
+    ClosedLoopResult ddrLinear, ddrRandom;
 };
 
 const Fig13Results &
@@ -54,11 +54,12 @@ results()
                 }
             }
         }
-        // Baseline: open-page DDR4 channel, 64 B requests at modest
-        // concurrency (8 in flight) so row-buffer locality matters.
-        const DdrChannelConfig ddr;
-        out.ddrLinear = measureDdrPattern(ddr, true, 64, 8, 200000);
-        out.ddrRandom = measureDdrPattern(ddr, false, 64, 8, 200000);
+        // Baseline: a DDR4 DIMM (a vault with the open-page DDR4
+        // engine), 64 B requests at modest concurrency (8 in flight)
+        // so row-buffer locality matters.
+        const VaultConfig ddr = ddr4DimmVault();
+        out.ddrLinear = measureClosedLoop(ddr, true, 64, 8, 200000);
+        out.ddrRandom = measureClosedLoop(ddr, false, 64, 8, 200000);
         return out;
     }();
     return r;

@@ -24,7 +24,8 @@
  * HMCSIM_PERF_JSON). With HMCSIM_PERF_GUARD=1 (the CI perf-smoke job)
  * the process fails unless both median ratios reach 1.5x. End-to-end
  * regressions are judged by the CI perf-pair job, which runs
- * perfbench's campaign on the parent and the change (tools/perf_pair.py).
+ * perfbench's campaign and warm-backends on the parent and the change
+ * (tools/perf_pair.py).
  */
 
 #include <benchmark/benchmark.h>

@@ -36,6 +36,11 @@ validateExperimentConfig(const ExperimentConfig &cfg, std::string &error)
                 " must be 16, 32, 64 or 128";
     else if (const char *why = deviceStructureError(cfg.device.structure))
         error = std::string("structure: ") + why;
+    else if (const char *why = backendConfigError(
+                 cfg.device.vault.timings, cfg.device.vault.backend))
+        error = why;
+    else if (const char *why = calibrationError(cfg.controller))
+        error = why;
     else if (!(ber >= 0.0 && ber <= 1.0))
         error = "ber must be within [0, 1]";
     else if (!(refresh >= 0.0 && std::isfinite(refresh)))

@@ -91,7 +91,8 @@ struct MeasurementResult
 
 /**
  * Check @p cfg before any model is built from it: request size, port
- * count, max block, device structure (deviceStructureError), bit
+ * count, max block, device structure (deviceStructureError), storage
+ * engine (backendConfigError), controller links (calibrationError), bit
  * error rate and refresh multiplier in range, and a non-empty
  * measurement window that, with the warm-up, fits in simulated time.
  * Each rule a constructor enforces is the constructor's own

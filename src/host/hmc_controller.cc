@@ -7,10 +7,23 @@
 
 #include "protocol/fields.hh"
 #include "sim/check.hh"
+#include "sim/logging.hh"
 #include "sim/snapshot.hh"
 
 namespace hmcsim
 {
+
+const char *
+calibrationError(const ControllerCalibration &cal)
+{
+    if (cal.numLinks == 0 || cal.numLinks > 256)
+        return "controller.numLinks must be from 1 to 256";
+    if (!validRate(cal.txBytesPerSecondPerLink))
+        return "controller.txBytesPerSecondPerLink must be positive";
+    if (!validRate(cal.rxBytesPerSecondPerLink))
+        return "controller.rxBytesPerSecondPerLink must be positive";
+    return nullptr;
+}
 
 HmcController::HmcController(const ControllerCalibration &cal,
                              EventQueue &queue, HmcDevice &device,
@@ -21,6 +34,8 @@ HmcController::HmcController(const ControllerCalibration &cal,
       rxPerFlitTicks(cal.rxPerFlit),
       queue(queue), device(device), deliver(std::move(deliver))
 {
+    if (const char *why = calibrationError(cal))
+        fatal("%s", why);
     const LinkConfig tx_cfg = cal.txLinkConfig();
     const LinkConfig rx_cfg = cal.rxLinkConfig();
     for (unsigned i = 0; i < cal.numLinks; ++i) {

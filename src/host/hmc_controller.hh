@@ -53,6 +53,15 @@ struct ControllerStats
     std::uint64_t flowControlStalls = 0;
 };
 
+/**
+ * Why no controller can be built from @p cal: no link, more links than
+ * the 8-bit packet link field addresses, or a TX/RX link rate that is
+ * not validRate(). Names the field by its wire key; null when it can.
+ * HmcController fatal()s on it and validateExperimentConfig() refuses
+ * it.
+ */
+const char *calibrationError(const ControllerCalibration &cal);
+
 /** The controller. */
 class HmcController
 {

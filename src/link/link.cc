@@ -13,7 +13,7 @@ namespace hmcsim
 ThroughputRegulator::ThroughputRegulator(double bytes_per_second)
     : psPerByte(1e12 / bytes_per_second)
 {
-    if (bytes_per_second <= 0.0)
+    if (!validRate(bytes_per_second))
         fatal("ThroughputRegulator rate must be positive");
 }
 

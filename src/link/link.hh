@@ -81,6 +81,14 @@ struct LinkConfig
     }
 };
 
+/** Whether a ThroughputRegulator can serve at @p bytes_per_second:
+ *  positive, so zero, negative and NaN rates are not. */
+inline bool
+validRate(double bytes_per_second)
+{
+    return bytes_per_second > 0.0;
+}
+
 /**
  * A serial resource with a fixed service rate in bytes/second.
  *
@@ -92,7 +100,7 @@ struct LinkConfig
 class ThroughputRegulator
 {
   public:
-    /** @param bytes_per_second Service rate; must be positive. */
+    /** @param bytes_per_second Service rate; must be validRate(). */
     explicit ThroughputRegulator(double bytes_per_second);
 
     /**

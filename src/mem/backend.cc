@@ -2,6 +2,7 @@
 
 #include <utility>
 
+#include "link/link.hh"
 #include "mem/ddr4_backend.hh"
 #include "mem/hmc_dram_backend.hh"
 #include "mem/nvm_backend.hh"
@@ -44,10 +45,33 @@ parseBackendKind(const std::string &name, BackendKind &out)
     return false;
 }
 
+const char *
+backendConfigError(const DramTimings &vault_timings,
+                   const MemoryBackendConfig &cfg)
+{
+    if (vault_timings.beatBytes == 0)
+        return "vault.timings.beatBytes must be at least 1";
+    if (vault_timings.rowBytes == 0)
+        return "vault.timings.rowBytes must be at least 1";
+    if (cfg.kind != BackendKind::Ddr4)
+        return nullptr;
+    if (cfg.ddrTimings.beatBytes == 0)
+        return "backend.ddrTimings.beatBytes must be at least 1";
+    if (cfg.ddrTimings.rowBytes == 0)
+        return "backend.ddrTimings.rowBytes must be at least 1";
+    if (!validRate(cfg.ddrBusBytesPerSecond))
+        return "backend.ddrBusBytesPerSecond must be positive";
+    if (cfg.ddrActivatesPerFaw == 0)
+        return "backend.ddrActivatesPerFaw must be at least 1";
+    return nullptr;
+}
+
 std::unique_ptr<MemoryBackend>
 makeMemoryBackend(const BackendEnvironment &env,
                   const MemoryBackendConfig &cfg)
 {
+    if (const char *why = backendConfigError(env.timings, cfg))
+        fatal("%s", why);
     switch (cfg.kind) {
       case BackendKind::HmcDram:
         return std::make_unique<HmcDramBackend>(env);

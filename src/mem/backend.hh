@@ -3,12 +3,11 @@
  * Pluggable vault-storage backends.
  *
  * The paper's central comparison -- HMC's closed-page stacked DRAM
- * against conventional DDR channels -- used to live in two disjoint
- * code paths (hmc/queued_vault.* vs baseline/ddr_channel.*). The
- * MemoryBackend interface extracts the storage-engine seam from the
- * vault access path so what sits behind a vault is a per-config
- * choice: the HMC DRAM bank array (default, byte-identical to the
- * pre-interface model), an open-page DDR4 channel, or a PCM/NVM tier
+ * against conventional DDR channels -- runs through one vault access
+ * path. The MemoryBackend interface is the storage-engine seam behind
+ * a vault, so what sits there is a per-config choice: the HMC DRAM
+ * bank array (default, byte-identical to the pre-interface model), an
+ * open-page DDR4 channel (a DIMM is one such vault), or a PCM/NVM tier
  * with asymmetric read/write timing and endurance accounting.
  *
  * Contract (docs/backends.md): the vault controller charges its own
@@ -184,6 +183,17 @@ class MemoryBackend
 
     virtual void reset() = 0;
 };
+
+/**
+ * Why no storage engine can be built behind a vault with
+ * @p vault_timings and @p cfg: a zero beat or row size (the engines
+ * divide by them), or, for the DDR4 engine, a bus rate that is not
+ * validRate() or no activates per tFAW. Names the field by its wire
+ * key; null when the engine can be built. makeMemoryBackend() fatal()s
+ * on it and validateExperimentConfig() refuses it.
+ */
+const char *backendConfigError(const DramTimings &vault_timings,
+                               const MemoryBackendConfig &cfg);
 
 /** Build the backend selected by @p cfg.kind for a vault's @p env. */
 std::unique_ptr<MemoryBackend>

@@ -6,10 +6,9 @@
  * (Secs. I, II-C, IV-D): open page policy, large rows with
  * row-interleaved mapping (consecutive addresses fill a row before
  * moving to the next bank), and a tFAW activate window that caps
- * row-missing traffic. This is the same arithmetic as the standalone
- * baseline channel (src/baseline/ddr_channel.*, now a thin wrapper
- * over this class), unified behind MemoryBackend so every sweep,
- * bench, and fleet-service scenario can run against it.
+ * row-missing traffic. A DIMM channel is one vault with this engine
+ * behind it (analysis/closed_loop.hh, ddr4DimmVault), and every sweep,
+ * bench, and fleet-service scenario can select it through the config.
  */
 
 #ifndef HMCSIM_MEM_DDR4_BACKEND_HH

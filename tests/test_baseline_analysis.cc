@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the DDR baseline channel and the analysis helpers
+ * Unit tests for the DDR4 DIMM vault and the analysis helpers
  * (regression, Little's law, knee detection, table formatting).
  */
 
@@ -8,103 +8,170 @@
 
 #include <cmath>
 
+#include "analysis/closed_loop.hh"
 #include "analysis/regression.hh"
 #include "analysis/table.hh"
-#include "baseline/ddr_channel.hh"
 
 namespace hmcsim
 {
 namespace
 {
 
-// ---- DDR channel ------------------------------------------------------
+// ---- DDR4 DIMM (a vault with the DDR4 engine) --------------------------
 
-TEST(DdrChannel, LinearTrafficHitsRows)
+TEST(DdrDimm, LinearTrafficHitsRows)
 {
-    const DdrChannelConfig cfg;
-    const DdrMeasurement m = measureDdrPattern(cfg, true, 64, 8, 20000);
+    const ClosedLoopResult m =
+        measureClosedLoop(ddr4DimmVault(), true, 64, 8, 20000);
     // 1 KB rows, 64 B requests: 15 of 16 accesses hit.
     EXPECT_GT(m.rowHitRate, 0.85);
 }
 
-TEST(DdrChannel, RandomTrafficMissesRows)
+TEST(DdrDimm, RandomTrafficMissesRows)
 {
-    const DdrChannelConfig cfg;
-    const DdrMeasurement m = measureDdrPattern(cfg, false, 64, 8, 20000);
+    const ClosedLoopResult m =
+        measureClosedLoop(ddr4DimmVault(), false, 64, 8, 20000);
     EXPECT_LT(m.rowHitRate, 0.05);
 }
 
-TEST(DdrChannel, LinearBeatsRandomAtModestConcurrency)
+TEST(DdrDimm, LinearBeatsRandomAtModestConcurrency)
 {
-    const DdrChannelConfig cfg;
-    const DdrMeasurement lin = measureDdrPattern(cfg, true, 64, 8, 50000);
-    const DdrMeasurement rnd =
-        measureDdrPattern(cfg, false, 64, 8, 50000);
+    const VaultConfig cfg = ddr4DimmVault();
+    const ClosedLoopResult lin = measureClosedLoop(cfg, true, 64, 8, 50000);
+    const ClosedLoopResult rnd =
+        measureClosedLoop(cfg, false, 64, 8, 50000);
     EXPECT_GT(lin.gbps, rnd.gbps);
     EXPECT_LT(lin.avgLatencyNs, rnd.avgLatencyNs);
 }
 
-TEST(DdrChannel, ClosedPagePolicyRemovesTheLinearAdvantage)
+TEST(DdrDimm, ClosedPagePolicyRemovesTheLinearAdvantage)
 {
-    DdrChannelConfig cfg;
-    cfg.policy = PagePolicy::Closed;
-    const DdrMeasurement lin = measureDdrPattern(cfg, true, 64, 8, 30000);
-    const DdrMeasurement rnd =
-        measureDdrPattern(cfg, false, 64, 8, 30000);
+    VaultConfig cfg = ddr4DimmVault();
+    cfg.backend.ddrPolicy = PagePolicy::Closed;
+    const ClosedLoopResult lin = measureClosedLoop(cfg, true, 64, 8, 30000);
+    const ClosedLoopResult rnd =
+        measureClosedLoop(cfg, false, 64, 8, 30000);
     EXPECT_DOUBLE_EQ(lin.rowHitRate, 0.0);
     // Linear no longer wins big; random's bank spread can even win.
     EXPECT_LT(lin.gbps / rnd.gbps, 1.15);
 }
 
-TEST(DdrChannel, BandwidthBoundedByBus)
+TEST(DdrDimm, BandwidthBoundedByBus)
 {
-    DdrChannelConfig cfg;
-    const DdrMeasurement m = measureDdrPattern(cfg, true, 64, 64, 50000);
-    EXPECT_LE(m.gbps, cfg.busBytesPerSecond / 1e9 * 1.01);
+    const VaultConfig cfg = ddr4DimmVault();
+    const ClosedLoopResult m =
+        measureClosedLoop(cfg, true, 64, 64, 50000);
+    EXPECT_LE(m.gbps, cfg.backend.ddrBusBytesPerSecond / 1e9 * 1.01);
 }
 
-TEST(DdrChannel, TfawCapsRandomActivationRate)
+TEST(DdrDimm, TfawCapsRandomActivationRate)
 {
     // Random 64 B misses need one ACT each: the 4-per-30ns window
     // caps the channel near 133 MRPS x 64 B = 8.5 GB/s even though
     // the bus could carry 19.2.
-    const DdrChannelConfig cfg;
-    const DdrMeasurement m =
-        measureDdrPattern(cfg, false, 64, 64, 100000);
+    const VaultConfig cfg = ddr4DimmVault();
+    const ClosedLoopResult m =
+        measureClosedLoop(cfg, false, 64, 64, 100000);
     EXPECT_LT(m.gbps, 9.0);
     EXPECT_GT(m.gbps, 7.5);
     // Row hits do not activate: linear traffic still reaches the bus.
-    const DdrMeasurement lin =
-        measureDdrPattern(cfg, true, 64, 64, 100000);
+    const ClosedLoopResult lin =
+        measureClosedLoop(cfg, true, 64, 64, 100000);
     EXPECT_GT(lin.gbps, 18.0);
 }
 
-TEST(DdrChannel, StatsAccumulate)
+/** One 64 B read or write to @p addr arriving at time 0. */
+Tick
+access(VaultController &dimm, Addr addr, Command cmd = Command::Read)
 {
-    DdrChannelConfig cfg;
-    DdrChannel channel(cfg);
-    channel.access(0, 64, false, 0);
-    channel.access(64, 64, true, 0);
-    EXPECT_EQ(channel.stats().accesses, 2u);
-    EXPECT_EQ(channel.stats().payloadBytes, 128u);
-    channel.reset();
-    EXPECT_EQ(channel.stats().accesses, 0u);
+    Packet pkt{};
+    pkt.cmd = cmd;
+    pkt.addr = addr;
+    pkt.payload = 64;
+    return dimm.service(pkt, 0);
 }
 
-TEST(DdrChannel, RowInterleavedMapping)
+TEST(DdrDimm, StatsAccumulate)
+{
+    VaultController dimm(ddr4DimmVault());
+    access(dimm, 0);
+    access(dimm, 64, Command::Write);
+    EXPECT_EQ(dimm.stats().reads + dimm.stats().writes, 2u);
+    EXPECT_EQ(dimm.stats().payloadBytes, 128u);
+    dimm.reset();
+    EXPECT_EQ(dimm.stats().reads + dimm.stats().writes, 0u);
+}
+
+TEST(DdrDimm, RowInterleavedMapping)
 {
     // Consecutive rows land on consecutive banks: with 16 banks and
     // 1 KB rows, addresses 0 and 1024 use different banks and can
     // overlap, addresses 0 and 16 KB share a bank.
-    DdrChannelConfig cfg;
-    DdrChannel a(cfg), b(cfg);
-    const Tick t_overlap_0 = a.access(0, 64, false, 0);
-    (void)t_overlap_0;
-    const Tick overlap = a.access(1024, 64, false, 0);
-    DdrChannel c(cfg);
-    c.access(0, 64, false, 0);
-    const Tick conflict = c.access(16 * 1024, 64, false, 0);
+    VaultController a(ddr4DimmVault());
+    access(a, 0);
+    const Tick overlap = access(a, 1024);
+    VaultController c(ddr4DimmVault());
+    access(c, 0);
+    const Tick conflict = access(c, 16 * 1024);
     EXPECT_LT(overlap, conflict);
+}
+
+TEST(DdrDimm, ReproducesTheStandaloneChannelBitForBit)
+{
+    // Hexfloats of the standalone DDR channel model this vault
+    // replaced, measured over 200k reads per shape: the bench shapes
+    // (linear/random at 4, 8 and 64 outstanding), closed page, a
+    // 6.4 GB/s bus, and 128 B / 32 B requests. The vault must give
+    // the same bits.
+    struct Shape
+    {
+        bool linear;
+        Bytes size;
+        unsigned outstanding;
+        bool closedPage;
+        double busBytesPerSecond;
+        ClosedLoopResult expected;
+    };
+    const Shape shapes[] = {
+        {true, 64, 4, false, 19.2e9,
+         {0x1.6580f09997af1p+2, 0x1.6ea147ae11891p+5, 0x1.ep-1}},
+        {false, 64, 4, false, 19.2e9,
+         {0x1.bc9b4ace4417ap+1, 0x1.26cd3ccab9061p+6, 0x0p+0}},
+        {true, 64, 8, false, 19.2e9,
+         {0x1.2464b4ace3efep+3, 0x1.c04467381e0fp+5, 0x1.ep-1}},
+        {false, 64, 8, false, 19.2e9,
+         {0x1.8d6785adff1bbp+2, 0x1.49d0db90b5fcap+6, 0x0p+0}},
+        {true, 64, 64, false, 19.2e9,
+         {0x1.3329c397452ddp+4, 0x1.aaa692138f9acp+7, 0x1.ep-1}},
+        {false, 64, 64, false, 19.2e9,
+         {0x1.110e0e983a241p+3, 0x1.dff26ac2409ffp+8, 0x0p+0}},
+        {true, 64, 8, true, 19.2e9,
+         {0x1.34deeed78b78bp+1, 0x1.a8588701107afp+7, 0x0p+0}},
+        {false, 64, 8, true, 19.2e9,
+         {0x1.84e7fbf29d65ap+2, 0x1.510613813c4b8p+6, 0x0p+0}},
+        {false, 64, 64, false, 6.4e9,
+         {0x1.9995ab0139bdep+2, 0x1.3ff62b6ae7d56p+9, 0x0p+0}},
+        {true, 128, 8, false, 19.2e9,
+         {0x1.b2895db219e2bp+3, 0x1.2da1ee319d362p+6, 0x1.cp-1}},
+        {false, 32, 8, false, 19.2e9,
+         {0x1.936a8fd69a44ap+1, 0x1.44e698be500cep+6, 0x0p+0}},
+    };
+    for (const Shape &s : shapes) {
+        VaultConfig cfg = ddr4DimmVault();
+        if (s.closedPage)
+            cfg.backend.ddrPolicy = PagePolicy::Closed;
+        cfg.backend.ddrBusBytesPerSecond = s.busBytesPerSecond;
+        const ClosedLoopResult got = measureClosedLoop(
+            cfg, s.linear, s.size, s.outstanding, 200000);
+        SCOPED_TRACE(strfmt("%s %lluB x%u%s, %.1f GB/s bus",
+                            s.linear ? "linear" : "random",
+                            static_cast<unsigned long long>(s.size),
+                            s.outstanding, s.closedPage ? " closed" : "",
+                            s.busBytesPerSecond / 1e9));
+        EXPECT_EQ(got.gbps, s.expected.gbps);
+        EXPECT_EQ(got.avgLatencyNs, s.expected.avgLatencyNs);
+        EXPECT_EQ(got.rowHitRate, s.expected.rowHitRate);
+    }
 }
 
 // ---- Regression -------------------------------------------------------

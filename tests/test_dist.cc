@@ -149,6 +149,52 @@ TEST(WireCodec, RejectsMalformedFields)
         decodeExperimentConfig(blob.substr(0, blob.size() - 1), out));
 }
 
+/**
+ * Wire values that decode, yet no model can be built from: a constructor
+ * would fatal() or divide by zero on each. The DDR4 fields count because
+ * unbuildableConfig() selects that engine.
+ */
+const std::pair<const char *, const char *> kUnbuildableFields[] = {
+    {"backend.ddrBusBytesPerSecond", "0x0p+0"},
+    {"backend.ddrActivatesPerFaw", "0"},
+    {"vault.timings.beatBytes", "0"},
+    {"vault.timings.rowBytes", "0"},
+    {"controller.txBytesPerSecondPerLink", "0x0p+0"},
+    {"controller.numLinks", "0"},
+    {"controller.rxBytesPerSecondPerLink", "-0x1p+0"},
+    {"controller.numLinks", "4294967295"},
+    {"backend.ddrTimings.beatBytes", "0"},
+    {"backend.ddrTimings.rowBytes", "0"},
+};
+
+/** A DDR4-backed config decoded from a frame with @p key set to
+ *  @p value. */
+ExperimentConfig
+unbuildableConfig(const char *key, const char *value)
+{
+    ExperimentConfig base;
+    base.device.vault.backend.kind = BackendKind::Ddr4;
+    base.measure = 10 * tickUs;
+    ExperimentConfig cfg;
+    EXPECT_TRUE(decodeExperimentConfig(
+        withField(encodeExperimentConfig(base), key, value), cfg))
+        << key;
+    return cfg;
+}
+
+TEST(WireCodec, DecodedValuesNoModelAcceptsAreRefusedByKey)
+{
+    for (const auto &[key, value] : kUnbuildableFields) {
+        std::string error;
+        EXPECT_FALSE(
+            validateExperimentConfig(unbuildableConfig(key, value), error))
+            << key << " " << value;
+        // One line that starts with the wire key.
+        EXPECT_EQ(error.rfind(std::string(key) + " ", 0), 0u) << error;
+        EXPECT_EQ(error.find('\n'), std::string::npos) << error;
+    }
+}
+
 TEST(WireCodec, EncodingIsByteIdenticalToTheV1Format)
 {
     // Recorded from the stream-based codec this one replaced: the
@@ -829,13 +875,17 @@ TEST(Distributed, CoordinatorAndWorkersMatchLocalByteForByte)
 TEST(Distributed, WorkerRefusesAWellFormedPointWithAnInvalidConfig)
 {
     // Frames that are well formed and whose digest matches, but whose
-    // config no model accepts: a request size no packet carries, and a
-    // vault count the address mapper cannot split into fields.
+    // config no model accepts: a request size no packet carries, a
+    // vault count the address mapper cannot split into fields, and
+    // every value in kUnbuildableFields.
     ExperimentConfig badSize;
     badSize.requestSize = 144;
     ExperimentConfig badVaults;
     badVaults.device.structure.numVaults = 3;
-    for (ExperimentConfig cfg : {badSize, badVaults}) {
+    std::vector<ExperimentConfig> configs = {badSize, badVaults};
+    for (const auto &[key, value] : kUnbuildableFields)
+        configs.push_back(unbuildableConfig(key, value));
+    for (ExperimentConfig cfg : configs) {
         cfg.measure = 10 * tickUs;
         const std::filesystem::path sock =
             std::filesystem::temp_directory_path() /

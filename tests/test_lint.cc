@@ -112,15 +112,6 @@ TEST(LintRules, MutexUnguardedFiresOnlyOnUnannotatedMutex)
               expect("mutex_unguarded.cc", 9, "mutex-unguarded"));
 }
 
-TEST(LintRules, DeprecatedDdrEntryFiresOnMeasureDdrPattern)
-{
-    // Line 10 calls the deprecated standalone entry point; the
-    // comment mention on line 4 must stay silent.
-    EXPECT_EQ(machineOutput("deprecated_ddr_entry.cc"),
-              expect("deprecated_ddr_entry.cc", 10,
-                     "deprecated-ddr-entry"));
-}
-
 TEST(LintRules, SnapshotSafeFiresInsideTaggedStructOnly)
 {
     // Lines 9-11 are unannotated pointer/iterator members of the
@@ -148,19 +139,6 @@ TEST(LintRules, BackendHotPathIgnoresTaggedAndUnrelatedFiles)
                  "int x;\n")
             .empty());
     EXPECT_TRUE(lintFile("src/mem/backend.cc", "int x;\n").empty());
-}
-
-TEST(LintSuppressions, DeprecatedDdrShimFilesAllowlisted)
-{
-    // The shim definition files are exempt via the built-in
-    // allowlist; the same text anywhere else fires.
-    const std::string call = "measureDdrPattern(cfg, true, 64, 8, 1);\n";
-    EXPECT_TRUE(
-        lintFile("repo/src/baseline/ddr_channel.cc", call).empty());
-    EXPECT_TRUE(
-        lintFile("repo/src/baseline/ddr_channel.hh", call).empty());
-    EXPECT_EQ(lintFile("repo/src/host/experiment.hh", call).size(), 1U);
-    EXPECT_EQ(lintFile("repo/src/hmc/device.cc", call).size(), 1U);
 }
 
 TEST(LintSuppressions, SameLineAndCommentAboveAllow)
@@ -203,8 +181,8 @@ TEST(LintEngine, EveryRuleHasAFiringFixture)
         "nondeterminism.cc",     "unordered_iteration.cc",
         "pointer_keyed_order.cc", "hot_std_function.cc",
         "hot_check.cc",          "hexfloat.cc",
-        "mutex_unguarded.cc",    "deprecated_ddr_entry.cc",
-        "plain_backend.cc",      "snapshot_unsafe.cc"};
+        "mutex_unguarded.cc",    "plain_backend.cc",
+        "snapshot_unsafe.cc"};
     std::set<std::string> fired;
     for (const std::string &name : fixtures)
         for (const Finding &f : lintPath(fixture(name)))

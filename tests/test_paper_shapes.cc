@@ -162,6 +162,27 @@ TEST(PaperShapes, Fig15MinimumRoundTrips)
     EXPECT_NEAR(min128 - min16, 55.0, 8.0); // paper ~56
 }
 
+TEST(PaperShapes, LocalQuadrantBeatsRemoteEndToEnd)
+{
+    // Sec. II-B and arXiv:1707.05399: a vault in the quadrant a link
+    // enters at answers faster than one in another quadrant. One read
+    // at a time from port 0, which enters at link 0's quadrant 0,
+    // pinned first to vault 0 (quadrant 0), then to vault 15
+    // (quadrant 3). Both runs draw the same banks and rows, so the
+    // whole gap is the crossbar hop, paid on the way in and back.
+    StreamExperimentConfig local;
+    local.requestsPerStream = 1;
+    local.repetitions = 32;
+    local.pattern = vaultPattern(mapper(), 1);
+    StreamExperimentConfig remote = local;
+    remote.pattern.antiMask =
+        bitRangeMask(mapper().vaultShift(),
+                     mapper().vaultShift() + mapper().vaultBits() - 1);
+    const double gap = runStreamExperiment(remote).mean() -
+                       runStreamExperiment(local).mean();
+    EXPECT_NEAR(gap, 2 * ticksToNs(local.device.quadrantHopLatency), 1e-6);
+}
+
 TEST(PaperShapes, Fig16LatencyEndpoints)
 {
     const double fast =

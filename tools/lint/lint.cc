@@ -22,11 +22,6 @@ namespace
 const std::vector<std::pair<std::string, std::string>> kFileAllowlist = {
     // The one audited wall-clock source (timing metadata only).
     {"src/sim/wallclock.hh", "nondeterminism"},
-    // The deprecated standalone DDR baseline entry point lives (and
-    // may reference itself) in these two files; the rule exists to
-    // flag *new* callers elsewhere.
-    {"src/baseline/ddr_channel.cc", "deprecated-ddr-entry"},
-    {"src/baseline/ddr_channel.hh", "deprecated-ddr-entry"},
 };
 
 const std::vector<RuleInfo> &
@@ -83,16 +78,6 @@ ruleTable()
          "original measurement (docs/runner.md)",
          "write and read doubles through runner/kv_codec.hh's "
          "KvWriter/KvReader, which use %a (C99 hexfloat)"},
-        {"deprecated-ddr-entry", "",
-         "call to the deprecated standalone DDR baseline entry point "
-         "(measureDdrPattern)",
-         "the DDR4 organization is a vault storage backend now "
-         "(mem/backend.hh); the standalone entry point survives only "
-         "as a compatibility shim for the existing baseline analyses "
-         "(docs/backends.md)",
-         "select the backend through the config instead: set "
-         "device.vault.backend.kind = BackendKind::Ddr4, or sweep "
-         "--axis backend=ddr4, and run the unified experiment path"},
         {"backend-hot-path", "",
          "a *_backend.cc storage-engine implementation missing the "
          "lint:file(hot-path) tag",
@@ -554,23 +539,6 @@ checkMutexUnguarded(const FileContext &ctx, std::vector<Finding> &out)
 }
 
 void
-checkDeprecatedDdrEntry(const FileContext &ctx,
-                        std::vector<Finding> &out)
-{
-    static const std::regex re(
-        R"(\bmeasureDdrPattern\s*\()");
-    for (std::size_t i = 0; i < ctx.code.size(); ++i) {
-        if (std::regex_search(ctx.code[i], re)) {
-            addFinding(ctx, out, static_cast<int>(i) + 1,
-                       "deprecated-ddr-entry",
-                       "deprecated standalone DDR baseline entry "
-                       "point; select the ddr4 backend via the "
-                       "config");
-        }
-    }
-}
-
-void
 checkSnapshotSafe(const FileContext &ctx, std::vector<Finding> &out)
 {
     // Structs tagged `// lint:snapshot-state` participate in the
@@ -650,7 +618,6 @@ checkTable()
         {"hot-std-function", &checkHotStdFunction},
         {"hot-check", &checkHotCheck},
         {"hexfloat-persistence", &checkHexfloatPersistence},
-        {"deprecated-ddr-entry", &checkDeprecatedDdrEntry},
         {"snapshot-safe", &checkSnapshotSafe},
         {"backend-hot-path", &checkBackendHotPath},
         {"mutex-unguarded", &checkMutexUnguarded},

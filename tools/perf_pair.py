@@ -3,9 +3,10 @@
 
     python3 tools/perf_pair.py BASE_DIR HEAD_DIR
 
-Runs perfbench's campaign workload (python3 perfbench/run.py --workload
-campaign --seconds 10) in BASE_DIR and HEAD_DIR for five pairs,
-alternating which checkout goes first, and fails (exit 1) unless:
+For each of perfbench's campaign and warm-backends workloads, runs
+python3 perfbench/run.py --workload W --seconds 10 in BASE_DIR and
+HEAD_DIR for five pairs, alternating which checkout goes first, and
+fails (exit 1) unless, for both workloads:
 
   - every run reads correct: true;
   - no head run has more failed outputs than the base run it is paired
@@ -16,6 +17,8 @@ alternating which checkout goes first, and fails (exit 1) unless:
 Each checkout builds its own perfbench binary under .bench_build/ on
 its first run. The campaign covers every layer of the platform: event
 core, GUPS issue, controller, link, HMC vault dispatch and stats flush.
+warm-backends is the only workload through Ac510Module::fork and the
+DDR4 and NVM storage engines.
 """
 
 import json
@@ -24,16 +27,16 @@ import subprocess
 import sys
 from pathlib import Path
 
-WORKLOAD = "campaign"
+WORKLOADS = ("campaign", "warm-backends")
 SECONDS = "10"
 PAIRS = 5
 METRIC = "items_per_s"
 
 
-def run(checkout):
-    """The result line of one perfbench run in @p checkout."""
+def run(checkout, workload):
+    """The result line of one perfbench @p workload run in @p checkout."""
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", WORKLOAD,
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seconds", SECONDS],
         cwd=checkout, stdout=subprocess.PIPE, text=True)
     if done.returncode != 0:
@@ -49,6 +52,40 @@ def bound(checkout):
                 if m["name"] == METRIC)
 
 
+def judge(workload, base_dir, head_dir, allowed):
+    """Run @p workload for PAIRS alternating pairs; list its problems."""
+    base, head = [], []
+    for i in range(PAIRS):
+        order = ((base_dir, base), (head_dir, head))
+        for checkout, runs in order if i % 2 == 0 else reversed(order):
+            runs.append(run(checkout, workload))
+        print(f"{workload} pair {i + 1}: "
+              f"base {base[-1]['metrics'][METRIC]['value']:.4g} "
+              f"head {head[-1]['metrics'][METRIC]['value']:.4g} {METRIC}",
+              flush=True)
+
+    problems = []
+    for i, (b, h) in enumerate(zip(base, head), 1):
+        for side, r in (("base", b), ("head", h)):
+            if r["correct"] is not True:
+                problems.append(f"{workload} pair {i}: {side} run is not "
+                                f"correct")
+        if h["failed"] > b["failed"]:
+            problems.append(f"{workload} pair {i}: head failed "
+                            f"{h['failed']} > base failed {b['failed']}")
+    base_median = statistics.median(r["metrics"][METRIC]["value"]
+                                    for r in base)
+    head_median = statistics.median(r["metrics"][METRIC]["value"]
+                                    for r in head)
+    change = head_median / base_median - 1.0
+    print(f"{workload} median {METRIC}: base {base_median:.4g}, "
+          f"head {head_median:.4g} ({change:+.1%}; bound -{allowed:.0%})")
+    if change < -allowed:
+        problems.append(f"{workload} head median {METRIC} is "
+                        f"{-change:.1%} below base (bound {allowed:.0%})")
+    return problems
+
+
 def main():
     if len(sys.argv) != 3:
         print("usage: python3 tools/perf_pair.py BASE_DIR HEAD_DIR",
@@ -57,33 +94,9 @@ def main():
     base_dir, head_dir = (Path(arg).resolve() for arg in sys.argv[1:])
     allowed = bound(head_dir)
 
-    base, head = [], []
-    for i in range(PAIRS):
-        order = ((base_dir, base), (head_dir, head))
-        for checkout, runs in order if i % 2 == 0 else reversed(order):
-            runs.append(run(checkout))
-        print(f"pair {i + 1}: base {base[-1]['metrics'][METRIC]['value']:.4g}"
-              f" head {head[-1]['metrics'][METRIC]['value']:.4g} {METRIC}",
-              flush=True)
-
     problems = []
-    for i, (b, h) in enumerate(zip(base, head), 1):
-        for side, r in (("base", b), ("head", h)):
-            if r["correct"] is not True:
-                problems.append(f"pair {i}: {side} run is not correct")
-        if h["failed"] > b["failed"]:
-            problems.append(f"pair {i}: head failed {h['failed']} > "
-                            f"base failed {b['failed']}")
-    base_median = statistics.median(r["metrics"][METRIC]["value"]
-                                    for r in base)
-    head_median = statistics.median(r["metrics"][METRIC]["value"]
-                                    for r in head)
-    change = head_median / base_median - 1.0
-    print(f"{WORKLOAD} median {METRIC}: base {base_median:.4g}, "
-          f"head {head_median:.4g} ({change:+.1%}; bound -{allowed:.0%})")
-    if change < -allowed:
-        problems.append(f"head median {METRIC} is {-change:.1%} below base "
-                        f"(bound {allowed:.0%})")
+    for workload in WORKLOADS:
+        problems += judge(workload, base_dir, head_dir, allowed)
     for problem in problems:
         print(f"FAIL: {problem}")
     return 1 if problems else 0
