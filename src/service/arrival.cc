@@ -1,14 +1,16 @@
 // lint:file(persistence) -- diurnal traces round-trip through text: %a hexfloat only, enforced by hmcsim-lint.
 #include "service/arrival.hh"
 
+#include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <string_view>
 
 #include "sim/logging.hh"
+#include "sim/text.hh"
 
 namespace hmcsim
 {
@@ -354,31 +356,34 @@ parseDiurnalTrace(const std::string &text,
                   std::vector<DiurnalSegment> &out)
 {
     out.clear();
-    const char *p = text.c_str();
-    const char *last = p + text.size();
-    while (*p) {
+    std::string_view rest = text;
+    for (;;) {
+        // Every segment, the last included, is "duration:scale"; an
+        // empty one (",,", a trailing comma) is malformed.
+        const std::size_t comma = std::min(rest.find(','), rest.size());
+        const std::string_view segment = rest.substr(0, comma);
+        const std::size_t colon = segment.find(':');
         DiurnalSegment seg;
-        const auto [colon, ec] = std::from_chars(p, last, seg.duration);
-        if (ec != std::errc() || *colon != ':' || seg.duration == 0)
+        if (colon == std::string_view::npos ||
+            parseKeyNumber(segment.substr(0, colon), seg.duration) ||
+            seg.duration == 0)
             return false;
-        p = colon + 1;
         // strtod accepts both the %a round-trip form and plain
         // decimals for hand-written traces; a sign, space, "inf" or
         // "nan" does not start with a digit.
-        if (!std::isdigit(static_cast<unsigned char>(*p)))
+        const char *scale = segment.data() + colon + 1;
+        if (!std::isdigit(static_cast<unsigned char>(*scale)))
             return false;
         char *end = nullptr;
-        seg.rateScale = std::strtod(p, &end);
-        if (!std::isfinite(seg.rateScale))
+        seg.rateScale = std::strtod(scale, &end);
+        if (end != segment.data() + segment.size() ||
+            !std::isfinite(seg.rateScale))
             return false;
         out.push_back(seg);
-        p = end;
-        if (*p == ',')
-            ++p;
-        else if (*p)
-            return false;
+        if (comma == rest.size())
+            return true;
+        rest.remove_prefix(comma + 1);
     }
-    return !out.empty();
 }
 
 } // namespace hmcsim

@@ -2,254 +2,114 @@
 #include "sim/event_queue.hh"
 
 #include <algorithm>
-#include <iterator>
 #include <utility>
 
 #include "sim/check.hh"
-#include "sim/logging.hh"
 
 namespace hmcsim
 {
-
-namespace
-{
-
-/** Sort order for overflow runs: descending by (when, seq), so the
- *  entry firing earliest sits at the back and migration pops are
- *  sequential O(1). */
-struct FiresLater
-{
-    bool
-    operator()(const auto &a, const auto &b) const
-    {
-        if (a.when != b.when)
-            return a.when > b.when;
-        return a.seq > b.seq;
-    }
-};
-
-} // namespace
-
-EventQueue::EventQueue() : buckets(numBuckets) {}
 
 void
 EventQueue::schedule(Tick when, Event ev)
 {
     // Stays a release-build check: a past-tick schedule means the
-    // calendar is already corrupt, and the cost was audited into the
-    // PR-4 event-core budget (docs/performance.md).
+    // queue is already corrupt, and its cost is part of the audited
+    // event-core budget (docs/performance.md).
     // lint:allow(hot-check)
     HMCSIM_CHECK(when >= _now,
                  "scheduling event in the past (when=%llu now=%llu)",
                  static_cast<unsigned long long>(when),
                  static_cast<unsigned long long>(_now));
-    Entry entry{when, nextSeq++, std::move(ev)};
-    ++numPending;
-
-    const std::uint64_t abs = bucketOf(when);
-    if (abs == cursorBucket) {
-        // Into the bucket being drained: sorted insert among the
-        // not-yet-fired entries. Inserting by `when` alone keeps FIFO
-        // for equal ticks because this entry carries the largest seq.
-        const auto pos = std::upper_bound(
-            current.begin() +
-                static_cast<std::ptrdiff_t>(drainIdx),
-            current.end(), when,
-            [](Tick w, const Entry &e) { return w < e.when; });
-        current.insert(pos, std::move(entry));
+    // lint:allow(hot-check)
+    HMCSIM_CHECK(nextSeq >> (64 - slotBits) == 0,
+                 "event sequence space exhausted (%llu schedules)",
+                 static_cast<unsigned long long>(nextSeq));
+    std::uint64_t slot;
+    if (freeSlots.empty()) {
+        slot = slab.size();
+        // Growth path only: a new slot must fit its field.
+        // lint:allow(hot-check)
+        HMCSIM_CHECK(slot <= slotMask, "more than %llu events pending",
+                     static_cast<unsigned long long>(slotMask));
+        slab.push_back(std::move(ev));
+    } else {
+        slot = freeSlots.back();
+        freeSlots.pop_back();
+        slab[slot] = std::move(ev);
+    }
+    const Key key{when, nextSeq++ << slotBits | slot};
+    if (when == _now) {
+        nowLane.push_back(key);
         return;
     }
-    if (abs < cursorBucket) {
-        // The cursor ran ahead over empty buckets (e.g. a peek past
-        // the runUntil limit); pull it back. Undrained entries of the
-        // old cursor bucket return to their wheel slot, where the lap
-        // check will find them again.
-        auto &slot = buckets[cursorBucket & bucketMask];
-        for (std::size_t i = drainIdx; i < current.size(); ++i) {
-            slot.push_back(std::move(current[i]));
-            ++wheelCount;
-        }
-        if (!slot.empty())
-            markOccupied(cursorBucket & bucketMask);
-        current.clear();
-        drainIdx = 0;
-        cursorBucket = abs;
-        current.push_back(std::move(entry));
-        return;
-    }
-    if (abs < cursorBucket + numBuckets) {
-        buckets[abs & bucketMask].push_back(std::move(entry));
-        markOccupied(abs & bucketMask);
-        ++wheelCount;
-        return;
-    }
-    if (abs < stagingMinBucket)
-        stagingMinBucket = abs;
-    staging.push_back(std::move(entry));
-    ++overflowCount;
+    heap.push_back({});
+    siftUp(heap.size() - 1, key);
 }
 
 void
-EventQueue::foldStagingIntoRuns()
+EventQueue::siftUp(std::size_t hole, const Key &key)
 {
-    // Sort the whole staging batch once (sequential, cache friendly)
-    // and append it to the run ladder; a binary min-heap here would
-    // pay one random-access sift-down per entry instead.
-    std::sort(staging.begin(), staging.end(), FiresLater{});
-    runs.emplace_back();
-    runs.back().swap(staging);
-    stagingMinBucket = noBucket;
-
-    // Keep run sizes geometric (each at least twice the next) so an
-    // adversarial schedule/advance interleave merges each entry only
-    // O(log n) times instead of rescanning a flat buffer.
-    while (runs.size() >= 2 &&
-           runs[runs.size() - 2].size() < 2 * runs.back().size()) {
-        auto &a = runs[runs.size() - 2];
-        auto &b = runs.back();
-        mergeScratch.clear();
-        mergeScratch.reserve(a.size() + b.size());
-        std::merge(std::make_move_iterator(a.begin()),
-                   std::make_move_iterator(a.end()),
-                   std::make_move_iterator(b.begin()),
-                   std::make_move_iterator(b.end()),
-                   std::back_inserter(mergeScratch), FiresLater{});
-        a.swap(mergeScratch);
-        runs.pop_back();
+    while (hole > 0) {
+        const std::size_t parent = (hole - 1) / 2;
+        if (!firesBefore(key, heap[parent]))
+            break;
+        heap[hole] = heap[parent];
+        hole = parent;
     }
+    heap[hole] = key;
+}
+
+EventQueue::Key
+EventQueue::popHeap()
+{
+    const Key top = heap.front();
+    const Key last = heap.back();
+    heap.pop_back();
+    if (!heap.empty()) {
+        // Bottom-up sift-down: walk the root hole to a leaf along the
+        // earlier child (one branch-free compare per level), then
+        // re-insert the former last key from there. It came from the
+        // bottom, so it rarely climbs far; the classic sift-down would
+        // pay an unpredictable branch per level to stop it early.
+        const std::size_t n = heap.size();
+        std::size_t hole = 0;
+        for (std::size_t c = 1; c < n; c = 2 * hole + 1) {
+            c += c + 1 < n && firesBefore(heap[c + 1], heap[c]);
+            heap[hole] = heap[c];
+            hole = c;
+        }
+        siftUp(hole, last);
+    }
+    return top;
 }
 
 void
-EventQueue::migrateOverflow()
+EventQueue::executeTop()
 {
-    const std::uint64_t windowEnd = cursorBucket + numBuckets;
-    if (stagingMinBucket < windowEnd)
-        foldStagingIntoRuns();
-
-    // Runs are sorted descending, so every in-window entry of a run is
-    // a pop from its back. Migration order across runs is irrelevant:
-    // the bucket drain re-sorts by (when, seq), so execution order --
-    // and therefore every stat digest -- is unchanged.
-    runsMinBucket = noBucket;
-    for (auto &run : runs) {
-        while (!run.empty() &&
-               bucketOf(run.back().when) < windowEnd) {
-            Entry entry = std::move(run.back());
-            run.pop_back();
-            const std::uint64_t abs = bucketOf(entry.when);
-            buckets[abs & bucketMask].push_back(std::move(entry));
-            markOccupied(abs & bucketMask);
-            ++wheelCount;
-            --overflowCount;
+    Key top{};
+    if (laneFirst()) {
+        top = nowLane[nowHead++];
+        if (nowHead == nowLane.size()) {
+            nowLane.clear();
+            nowHead = 0;
         }
-        if (!run.empty()) {
-            const std::uint64_t b = bucketOf(run.back().when);
-            if (b < runsMinBucket)
-                runsMinBucket = b;
-        }
+    } else {
+        top = popHeap();
     }
-    std::erase_if(runs, [](const std::vector<Entry> &r) { return r.empty(); });
-}
 
-std::uint64_t
-EventQueue::nextOccupiedBucket() const
-{
-    if (wheelCount == 0)
-        return noBucket;
-    // Ring-scan the bitmap starting one past the cursor's slot; the
-    // first set bit at distance d in [1, numBuckets] is the answer.
-    std::uint64_t dist = 1;
-    std::uint64_t idx = (cursorBucket + 1) & bucketMask;
-    std::uint64_t scanned = 0;
-    while (scanned < numBuckets) {
-        const std::uint64_t off = idx & 63;
-        const std::uint64_t span = 64 - off;
-        const std::uint64_t bits = occupied[idx >> 6] >> off;
-        if (bits != 0)
-            return cursorBucket + dist +
-                   static_cast<std::uint64_t>(__builtin_ctzll(bits));
-        idx = (idx + span) & bucketMask;
-        dist += span;
-        scanned += span;
-    }
-    // Only the cursor's own slot is occupied: its entries belong to a
-    // later lap (possible after a cursor rewind).
-    return cursorBucket + numBuckets;
-}
+    // Free the slot before invoking: the callback may schedule into it.
+    const auto slot = static_cast<std::uint32_t>(top.order & slotMask);
+    Event ev = std::move(slab[slot]);
+    freeSlots.push_back(slot);
 
-EventQueue::Entry *
-EventQueue::peekNext()
-{
-    for (;;) {
-        if (drainIdx < current.size())
-            return &current[drainIdx];
-        if (numPending == 0)
-            return nullptr;
-        current.clear();
-        drainIdx = 0;
-
-        // Pull this lap's entries out of the cursor's wheel slot;
-        // entries a full wheel revolution (or more) ahead stay put.
-        auto &slot = buckets[cursorBucket & bucketMask];
-        if (!slot.empty()) {
-            std::size_t keep = 0;
-            for (std::size_t i = 0; i < slot.size(); ++i) {
-                if (bucketOf(slot[i].when) == cursorBucket) {
-                    current.push_back(std::move(slot[i]));
-                } else {
-                    if (keep != i)
-                        slot[keep] = std::move(slot[i]);
-                    ++keep;
-                }
-            }
-            slot.erase(slot.begin() + static_cast<std::ptrdiff_t>(keep),
-                       slot.end());
-            if (slot.empty())
-                clearOccupied(cursorBucket & bucketMask);
-            if (!current.empty()) {
-                wheelCount -= current.size();
-                // Sort by (when, seq): equal ticks stay FIFO. std::sort
-                // is in-place -- stable_sort would heap-allocate a merge
-                // buffer on every bucket drain, breaking the
-                // allocation-free steady state.
-                std::sort(current.begin(), current.end(),
-                          [](const Entry &a, const Entry &b) {
-                              if (a.when != b.when)
-                                  return a.when < b.when;
-                              return a.seq < b.seq;
-                          });
-                continue;
-            }
-        }
-
-        // Jump the cursor straight to the next bucket holding work --
-        // the nearest occupied wheel slot or the earliest overflow
-        // entry, whichever fires first -- instead of stepping one
-        // ~1 ns bucket at a time through idle simulated time.
-        const std::uint64_t wheel_next = nextOccupiedBucket();
-        const std::uint64_t ovf_next = overflowMin();
-        const std::uint64_t next =
-            ovf_next < wheel_next ? ovf_next : wheel_next;
-        HMCSIM_DCHECK(next != noBucket,
-                      "pending=%llu but wheel and overflow empty",
-                      static_cast<unsigned long long>(numPending));
-        cursorBucket = next;
-        if (ovf_next < cursorBucket + numBuckets)
-            migrateOverflow();
-    }
-}
-
-void
-EventQueue::execute(Entry &entry)
-{
-    HMCSIM_DCHECK(entry.when >= _now,
+    HMCSIM_DCHECK(top.when >= _now,
                   "event time went backwards (when=%llu now=%llu)",
-                  static_cast<unsigned long long>(entry.when),
+                  static_cast<unsigned long long>(top.when),
                   static_cast<unsigned long long>(_now));
-    _now = entry.when;
+    _now = top.when;
     check_detail::setCurrentTick(_now);
     ++numExecuted;
-    entry.ev();
+    ev();
     if (checkerRegistry && ++eventsSinceCheck >= checkEveryN) {
         eventsSinceCheck = 0;
         checkerRegistry->runAll(_now);
@@ -259,27 +119,18 @@ EventQueue::execute(Entry &entry)
 bool
 EventQueue::step()
 {
-    if (peekNext() == nullptr)
+    if (pending() == 0)
         return false;
-    Entry entry = std::move(current[drainIdx]);
-    ++drainIdx;
-    --numPending;
-    execute(entry);
+    executeTop();
     return true;
 }
 
 Tick
 EventQueue::runUntil(Tick limit)
 {
-    for (;;) {
-        Entry *next = peekNext();
-        if (next == nullptr || next->when > limit)
-            break;
-        Entry entry = std::move(current[drainIdx]);
-        ++drainIdx;
-        --numPending;
-        execute(entry);
-    }
+    while (laneFirst() ? _now <= limit
+                       : !heap.empty() && heap.front().when <= limit)
+        executeTop();
     if (_now < limit)
         _now = limit;
     runCheckers();
@@ -318,21 +169,15 @@ std::vector<EventQueue::PendingView>
 EventQueue::pendingSnapshot() const
 {
     std::vector<PendingView> views;
-    views.reserve(numPending);
-    for (std::size_t i = drainIdx; i < current.size(); ++i)
-        views.push_back({current[i].when, current[i].seq, &current[i].ev});
-    for (const auto &slot : buckets)
-        for (const auto &entry : slot)
-            views.push_back({entry.when, entry.seq, &entry.ev});
-    for (const auto &entry : staging)
-        views.push_back({entry.when, entry.seq, &entry.ev});
-    for (const auto &run : runs)
-        for (const auto &entry : run)
-            views.push_back({entry.when, entry.seq, &entry.ev});
-    HMCSIM_DCHECK(views.size() == numPending,
-                  "pending snapshot found %llu entries, counter says %llu",
-                  static_cast<unsigned long long>(views.size()),
-                  static_cast<unsigned long long>(numPending));
+    views.reserve(pending());
+    const auto view = [&](const Key &key) {
+        views.push_back({key.when, key.order >> slotBits,
+                         &slab[key.order & slotMask]});
+    };
+    for (const Key &key : heap)
+        view(key);
+    for (std::size_t i = nowHead; i < nowLane.size(); ++i)
+        view(nowLane[i]);
     std::sort(views.begin(), views.end(),
               [](const PendingView &a, const PendingView &b) {
                   return a.seq < b.seq;
@@ -345,17 +190,12 @@ EventQueue::restoreBegin(Tick now)
 {
     // Restore-time API validation, not per-event work.
     // lint:allow(hot-check)
-    HMCSIM_CHECK(numPending == 0 && numExecuted == 0,
+    HMCSIM_CHECK(pending() == 0 && numExecuted == 0,
                  "snapshot restore requires a fresh queue "
                  "(pending=%llu executed=%llu)",
-                 static_cast<unsigned long long>(numPending),
+                 static_cast<unsigned long long>(pending()),
                  static_cast<unsigned long long>(numExecuted));
     _now = now;
-    // Without this the cursor would lap-walk from bucket zero and
-    // every near-future entry would detour through the overflow
-    // ladder; placing it on now()'s bucket reproduces the source
-    // calendar's steady state.
-    cursorBucket = bucketOf(now);
 }
 
 void
@@ -377,19 +217,11 @@ EventQueue::restoreFinish(std::uint64_t next_seq,
 void
 EventQueue::reset()
 {
-    for (auto &slot : buckets)
-        slot.clear();
-    current.clear();
-    staging.clear();
-    runs.clear();
-    occupied.fill(0);
-    stagingMinBucket = noBucket;
-    runsMinBucket = noBucket;
-    overflowCount = 0;
-    drainIdx = 0;
-    cursorBucket = 0;
-    wheelCount = 0;
-    numPending = 0;
+    heap.clear();
+    nowLane.clear();
+    nowHead = 0;
+    slab.clear();
+    freeSlots.clear();
     _now = 0;
     nextSeq = 0;
     numExecuted = 0;

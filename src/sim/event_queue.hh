@@ -8,32 +8,20 @@
  * in scheduling order (FIFO), which keeps component pipelines
  * deterministic.
  *
- * Internally the queue is a two-level bucketed calendar rather than a
- * binary heap (docs/performance.md):
- *
- *  - a timing wheel of `numBuckets` buckets, each spanning
- *    `bucketTicks` picoseconds, holds the near future (~1 us ahead of
- *    the cursor). schedule() is an append; ordering inside the one
- *    bucket being drained costs one stable sort per bucket plus a
- *    sorted insert for same-bucket arrivals.
- *  - a sorted-run ladder holds the far future (refresh deadlines,
- *    thermal sampling, end-of-window drains): schedule() appends to an
- *    unsorted staging buffer, which is sorted wholesale into a run the
- *    first time the wheel's window touches it. Entries migrate into
- *    the wheel as the cursor advances, as sequential pops from the
- *    run backs.
- *
- * Execution order is exactly (when, seq) -- identical to the old
- * heap, so stat digests and the --selfcheck probe are unchanged.
- * Events are hmcsim::Event (sim/event.hh): fixed-size, inline-capture
- * callables, so the steady-state schedule/fire path performs no heap
- * allocation at all.
+ * Internally the queue is one binary min-heap of 16-byte (when,
+ * seq|slot) keys, plus a FIFO lane for events scheduled at the current
+ * tick, which need no sifting. The Events themselves sit in a slab of
+ * reusable slots, so sifting moves keys, never 64-byte callables. The
+ * heap is sized to the real traffic: even the paper's high-load round
+ * trips keep only ~1.2k events pending (docs/performance.md). Events
+ * are hmcsim::Event (sim/event.hh): fixed-size, inline-capture
+ * callables, so once the heap, lane and slab reach their working
+ * depth the schedule/fire path performs no heap allocation at all.
  */
 
 #ifndef HMCSIM_SIM_EVENT_QUEUE_HH
 #define HMCSIM_SIM_EVENT_QUEUE_HH
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -45,9 +33,6 @@ namespace hmcsim
 
 class CheckerRegistry;
 
-/** Callback type executed when an event fires. */
-using EventFn = Event;
-
 /**
  * A discrete-event queue with a monotonically advancing current time.
  *
@@ -56,15 +41,7 @@ using EventFn = Event;
 class EventQueue
 {
   public:
-    /** Wheel bucket span in ticks (power of two; 1024 ps ~= 1 ns,
-     *  finer than every modeled pipeline latency). */
-    static constexpr Tick bucketTicks = 1024;
-    /** Number of wheel buckets (power of two). The wheel spans
-     *  bucketTicks * numBuckets ~= 1 us beyond the cursor; refresh
-     *  (7.8 us) and thermal sampling live in the overflow heap. */
-    static constexpr std::size_t numBuckets = 1024;
-
-    EventQueue();
+    EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
@@ -72,14 +49,14 @@ class EventQueue
     Tick now() const { return _now; }
 
     /** Number of events currently pending. */
-    std::size_t pending() const { return numPending; }
+    std::size_t
+    pending() const
+    {
+        return heap.size() + (nowLane.size() - nowHead);
+    }
 
     /** Total number of events ever executed. */
     std::uint64_t executed() const { return numExecuted; }
-
-    /** Events currently waiting in the far-future overflow ladder
-     *  (observability hook for tests and the perf bench). */
-    std::size_t overflowPending() const { return overflowCount; }
 
     /**
      * Schedule a callback at an absolute tick.
@@ -156,9 +133,8 @@ class EventQueue
 
     /**
      * Prepare an empty queue for restoring a snapshot taken at
-     * @p now: sets the clock and places the calendar cursor on the
-     * matching bucket so re-scheduled entries land exactly where the
-     * source's calendar held them. Fatal if the queue is not empty.
+     * @p now: sets the clock so re-scheduled entries pass the
+     * past-tick check. Fatal if the queue is not empty.
      */
     void restoreBegin(Tick now);
 
@@ -168,110 +144,66 @@ class EventQueue
                        std::uint64_t events_since_check);
 
   private:
-    struct Entry
+    /** Bits of Key::order that hold the slab slot: up to 16M events
+     *  pending at once, and 2^40 schedules over a queue's life. */
+    static constexpr unsigned slotBits = 24;
+    static constexpr std::uint64_t slotMask =
+        (std::uint64_t{1} << slotBits) - 1;
+
+    /** Heap key, 16 bytes so four share a cache line. Firing order is
+     *  (when, seq); `order` holds seq above the slot that indexes
+     *  `slab`, and seqs are unique, so (when, order) is that order. */
+    struct Key
     {
         Tick when;
-        std::uint64_t seq;
-        Event ev;
+        std::uint64_t order;
     };
+
+    /** (when, order) as one 128-bit compare: branch-free, which
+     *  matters because sift decisions are data-dependent coin flips. */
+    static bool
+    firesBefore(const Key &a, const Key &b)
+    {
+        return ((unsigned __int128){a.when} << 64 | a.order) <
+               ((unsigned __int128){b.when} << 64 | b.order);
+    }
+
+    /** Fill the hole at heap[@p hole] with @p key, moving parents down
+     *  until the key fits. */
+    void siftUp(std::size_t hole, const Key &key);
+
+    /** Remove and return the heap's earliest key. */
+    Key popHeap();
+
+    /** True when the next event is the now-lane's front: the heap
+     *  holds nothing at the current tick, and the lane is not empty. */
+    bool
+    laneFirst() const
+    {
+        return nowHead < nowLane.size() &&
+               (heap.empty() || heap.front().when > _now);
+    }
+
+    /** Pop the earliest event and run it at its tick. */
+    void executeTop();
 
     /** Run attached checkers at a drain point. */
     void runCheckers();
 
-    /** Execute @p entry at its tick (shared by step/runUntil). */
-    void execute(Entry &entry);
-
-    /**
-     * Locate the next event in (when, seq) order, advancing the
-     * cursor past empty buckets and migrating overflow entries whose
-     * tick slid under the wheel window. Returns nullptr when empty.
-     * Does not advance now() or pop the event.
-     */
-    Entry *peekNext();
-
-    /** Move in-window overflow entries into their wheel buckets. */
-    void migrateOverflow();
-
-    /** Sort the staging buffer into a run and fold it into the run
-     *  ladder, merging runs to keep their sizes geometric. */
-    void foldStagingIntoRuns();
-
-    /** Bucket of the earliest overflow entry (staging or runs);
-     *  noBucket when the overflow is empty. */
-    std::uint64_t
-    overflowMin() const
-    {
-        return stagingMinBucket < runsMinBucket ? stagingMinBucket
-                                                : runsMinBucket;
-    }
-
-    /** Absolute bucket index of @p when. */
-    static std::uint64_t bucketOf(Tick when) { return when / bucketTicks; }
-
-    /** Sentinel for "no overflow entries pending". */
-    static constexpr std::uint64_t noBucket = ~std::uint64_t{0};
-
-    void
-    markOccupied(std::uint64_t slot)
-    {
-        occupied[slot >> 6] |= std::uint64_t{1} << (slot & 63);
-    }
-
-    void
-    clearOccupied(std::uint64_t slot)
-    {
-        occupied[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
-    }
-
-    /**
-     * Absolute bucket index of the nearest occupied wheel slot after
-     * the cursor (up to one full lap, so a slot holding only
-     * later-lap entries resolves to cursorBucket + numBuckets), or
-     * noBucket when the wheel is empty. Scans the occupancy bitmap a
-     * word at a time, so sparse simulated time costs O(1) per 64
-     * empty buckets instead of one loop iteration each.
-     */
-    std::uint64_t nextOccupiedBucket() const;
-
-    static constexpr std::uint64_t bucketMask = numBuckets - 1;
-    static_assert((numBuckets & bucketMask) == 0,
-                  "numBuckets must be a power of two");
-    static_assert((bucketTicks & (bucketTicks - 1)) == 0,
-                  "bucketTicks must be a power of two");
-
-    /** The wheel: bucket b holds entries whose absolute bucket index
-     *  is congruent to b modulo numBuckets; lap membership is checked
-     *  when a bucket drains. */
-    std::vector<std::vector<Entry>> buckets;
-    /** Entries of the bucket currently draining (absolute index
-     *  cursorBucket), sorted by (when, seq); [drainIdx, end) remain. */
-    std::vector<Entry> current;
-    std::size_t drainIdx = 0;
-    /** Absolute index of the bucket the cursor is on. */
-    std::uint64_t cursorBucket = 0;
-    /** Entries resident in wheel buckets (excluding `current`). */
-    std::size_t wheelCount = 0;
-    /** One bit per wheel slot: set while the slot holds entries. */
-    std::array<std::uint64_t, numBuckets / 64> occupied{};
-    /** Far-future entries not yet sorted: schedule() appends here in
-     *  O(1) and the batch is sorted wholesale the first time the
-     *  wheel's window touches it. A binary heap here costs one
-     *  random-access sift-down per entry on migration, which is what
-     *  made far-future preloads slow (docs/performance.md). */
-    std::vector<Entry> staging;
-    /** Ladder of sorted runs, each descending by (when, seq) so the
-     *  earliest entry is a pop from the back. Run sizes are kept
-     *  geometric by merging, bounding the ladder at O(log n) runs. */
-    std::vector<std::vector<Entry>> runs;
-    /** Reused merge buffer for run compaction. */
-    std::vector<Entry> mergeScratch;
-    /** Total entries across staging and runs. */
-    std::size_t overflowCount = 0;
-    /** Bucket of the earliest staging / run entry (noBucket when
-     *  empty); lets the cursor advance without touching the data. */
-    std::uint64_t stagingMinBucket = noBucket;
-    std::uint64_t runsMinBucket = noBucket;
-    std::size_t numPending = 0;
+    /** Binary min-heap by firesBefore of the events scheduled for a
+     *  later tick than the one they were scheduled at; heap[0] is the
+     *  earliest. */
+    std::vector<Key> heap;
+    /** Events scheduled for the tick they were scheduled at, in seq
+     *  order from nowHead on. They fire after every heap entry of
+     *  that tick (those were scheduled earlier, so carry lower seqs)
+     *  and need no sifting; a fifth of a loaded run's schedules. */
+    std::vector<Key> nowLane;
+    std::size_t nowHead = 0;
+    /** Pending callables, addressed by Key::slot. */
+    std::vector<Event> slab;
+    /** Slab slots free for reuse. */
+    std::vector<std::uint32_t> freeSlots;
 
     Tick _now = 0;
     std::uint64_t nextSeq = 0;

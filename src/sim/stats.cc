@@ -96,30 +96,6 @@ SampleStats::combineChunk(const double *values, std::size_t n)
     _count += n;
 }
 
-void
-SampleStats::sampleBatch(const double *values, std::size_t n)
-{
-    if (n == 0)
-        return;
-    // Sequential sum/min/max in array order: bit-identical to the
-    // per-sample path (see the header contract).
-    double acc = _sum;
-    double mn = _min;
-    double mx = _max;
-    for (std::size_t i = 0; i < n; ++i) {
-        const double v = values[i];
-        acc += v;
-        if (v < mn)
-            mn = v;
-        if (v > mx)
-            mx = v;
-    }
-    _sum = acc;
-    _min = mn;
-    _max = mx;
-    combineChunk(values, n);
-}
-
 Histogram::Histogram(double lo, double hi, std::size_t num_bins)
     : lo(lo), hi(hi),
       width((hi - lo) / static_cast<double>(num_bins)),

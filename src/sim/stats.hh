@@ -120,20 +120,6 @@ class SampleStats
         welfordM2 += delta * (value - welfordMean);
     }
 
-    /**
-     * Record a chunk of samples at once.
-     *
-     * count, sum, min, and max are updated by the same sequential
-     * operations sample() performs, in array order, so those fields
-     * -- and therefore mean() -- are bit-identical to calling
-     * sample() per element. The variance accumulator is folded in
-     * per chunk with the same Chan et al. combination merge() uses
-     * (numerically equivalent to per-sample Welford, not
-     * bit-identical); variance() is not part of any digest or
-     * structured-output contract (docs/performance.md).
-     */
-    void sampleBatch(const double *values, std::size_t n);
-
     /** Merge another accumulator into this one. */
     void merge(const SampleStats &other);
 
@@ -201,8 +187,14 @@ class SampleStats
   private:
     friend class TickLatencyBatch;
 
-    /** Fold one chunk's mean/M2 into the variance accumulators and
-     *  advance the count (shared by sampleBatch and the tick flush). */
+    /**
+     * Fold one chunk's mean/M2 into the variance accumulators and
+     * advance the count (the tick flush's variance path). Uses the
+     * same Chan et al. combination merge() uses: numerically
+     * equivalent to per-sample Welford, not bit-identical; variance()
+     * is not part of any digest or structured-output contract
+     * (docs/performance.md).
+     */
     void combineChunk(const double *values, std::size_t n);
 
     std::uint64_t _count = 0;
@@ -293,7 +285,7 @@ class Histogram
  *    for every tick, including exact bin boundaries; otherwise the
  *    flush falls back to the per-sample floating-point probe.
  *  - variance: folded per chunk via SampleStats::combineChunk (not
- *    digest-observable; see sampleBatch).
+ *    digest-observable; see there).
  *
  * No heap allocation anywhere: the buffer is inline and the flush
  * scratch is stack-resident (tests/test_stats_batch.cc enforces it

@@ -1,11 +1,11 @@
 /**
  * @file
- * Tests for the calendar event queue and the allocation-free event
- * core (docs/performance.md): same-tick FIFO within and across the
- * wheel/overflow boundary, runUntil boundary semantics, reset,
- * checker drain-point cadence, far-future overflow migration, Event
- * small-buffer semantics, packet-pool reuse, and an
- * allocation-counting guard over the steady-state scheduling path.
+ * Tests for the event queue and the allocation-free event core
+ * (docs/performance.md): same-tick FIFO for near and far schedules,
+ * runUntil boundary semantics, reset, checker drain-point cadence,
+ * far-future ordering, snapshot cloning, Event small-buffer
+ * semantics, packet-pool reuse, and an allocation-counting guard
+ * over the steady-state scheduling path.
  */
 
 #include <gtest/gtest.h>
@@ -26,6 +26,7 @@
 #include "protocol/packet_pool.hh"
 #include "sim/check.hh"
 #include "sim/event_queue.hh"
+#include "sim/snapshot.hh"
 
 // ---------------------------------------------------------------------
 // Global allocation counter: every operator new in this binary is
@@ -85,16 +86,12 @@ namespace hmcsim
 namespace
 {
 
-/** Ticks covered by the wheel before entries spill to overflow. */
-constexpr Tick wheelHorizon =
-    EventQueue::bucketTicks * EventQueue::numBuckets;
-
-TEST(CalendarQueue, SameTickFifoAcrossManyEvents)
+TEST(EventQueue, SameTickFifoAcrossManyEvents)
 {
     EventQueue q;
     std::vector<int> order;
-    // Same tick, scheduled from several buckets' worth of "now"
-    // distance: all land in one bucket and must pop in seq order.
+    // Same tick, many entries: they must pop in seq order however the
+    // heap shuffles their keys.
     for (int i = 0; i < 1000; ++i)
         q.schedule(5000, [&order, i] { order.push_back(i); });
     q.runToCompletion();
@@ -103,32 +100,30 @@ TEST(CalendarQueue, SameTickFifoAcrossManyEvents)
         ASSERT_EQ(order[i], i);
 }
 
-TEST(CalendarQueue, SameTickFifoAcrossWheelAndOverflow)
+TEST(EventQueue, SameTickFifoBetweenEarlyAndLateSchedules)
 {
     EventQueue q;
     std::vector<int> order;
-    // First event targets a tick beyond the wheel horizon, so it
-    // starts life in the overflow heap; by the time the second event
-    // is scheduled at the *same* tick the cursor has advanced and the
-    // tick is wheel-resident. Seq order must still win.
-    const Tick when = 2 * wheelHorizon + 123;
+    // The first event is scheduled far ahead; the second targets the
+    // same tick only after time has advanced to just before it. Seq
+    // order must still win.
+    const Tick when = 2 * tickUs + 123;
     q.schedule(when, [&order] { order.push_back(0); });
-    EXPECT_EQ(q.overflowPending(), 1u);
     q.runUntil(when - 10);
     q.schedule(when, [&order] { order.push_back(1); });
     q.runToCompletion();
     EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
 
-TEST(CalendarQueue, InterleavedTicksExecuteInTimeOrder)
+TEST(EventQueue, InterleavedTicksExecuteInTimeOrder)
 {
     EventQueue q;
     std::vector<Tick> fired;
-    // Scatter schedules across buckets, laps, and the overflow in a
-    // deliberately shuffled order.
+    // Scatter schedules across a few microseconds in a deliberately
+    // shuffled order.
     std::vector<Tick> when;
     for (Tick t = 0; t < 64; ++t)
-        when.push_back((t * 7919) % (3 * wheelHorizon));
+        when.push_back((t * 7919) % (3 * tickUs));
     for (const Tick t : when)
         q.schedule(t, [&fired, &q] { fired.push_back(q.now()); });
     q.runToCompletion();
@@ -136,32 +131,54 @@ TEST(CalendarQueue, InterleavedTicksExecuteInTimeOrder)
     for (std::size_t i = 1; i < fired.size(); ++i)
         EXPECT_LE(fired[i - 1], fired[i]);
     EXPECT_EQ(q.pending(), 0u);
-    EXPECT_EQ(q.overflowPending(), 0u);
 }
 
-TEST(CalendarQueue, OverflowMigratesIntoWheel)
-{
-    EventQueue q;
-    int fired = 0;
-    // Refresh-style far-future deadlines (7.8 us out) overflow, then
-    // migrate as the window slides over them.
-    for (int i = 0; i < 8; ++i)
-        q.schedule(7800 * tickNs + static_cast<Tick>(i), [&] { ++fired; });
-    EXPECT_EQ(q.overflowPending(), 8u);
-    EXPECT_EQ(q.pending(), 8u);
-    q.runToCompletion();
-    EXPECT_EQ(fired, 8);
-    EXPECT_EQ(q.overflowPending(), 0u);
-}
-
-TEST(CalendarQueue, CursorRewindsForNearSchedulesAfterFarPeek)
+TEST(EventQueue, SameTickSchedulesFromCallbacksFireAfterEarlierOnes)
 {
     EventQueue q;
     std::vector<int> order;
-    // A far-only queue makes the cursor jump toward the overflow
-    // entry during the (idle) runUntil peek; a subsequent near-future
-    // schedule must pull it back and still fire first.
-    const Tick far = 10 * wheelHorizon;
+    // Entries scheduled at the tick they fire on queue behind every
+    // entry scheduled for that tick earlier, and runUntil runs them
+    // when the tick is its limit.
+    q.schedule(1000, [&order, &q] {
+        order.push_back(0);
+        q.scheduleIn(0, [&order] { order.push_back(2); });
+        q.schedule(q.now(), [&order, &q] {
+            order.push_back(3);
+            q.scheduleIn(0, [&order] { order.push_back(4); });
+        });
+    });
+    q.schedule(1000, [&order] { order.push_back(1); });
+    q.schedule(1001, [&order] { order.push_back(5); });
+    EXPECT_EQ(q.runUntil(1000), 1000u);
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+    EXPECT_EQ(q.pending(), 1u);
+    q.runToCompletion();
+    EXPECT_EQ(order.back(), 5);
+}
+
+TEST(EventQueue, FarDeadlinesFireInOrder)
+{
+    EventQueue q;
+    std::vector<int> order;
+    // Refresh-style far-future deadlines (7.8 us out), scheduled
+    // latest first.
+    for (int i = 7; i >= 0; --i)
+        q.schedule(7800 * tickNs + static_cast<Tick>(i),
+                   [&order, i] { order.push_back(i); });
+    EXPECT_EQ(q.pending(), 8u);
+    q.runToCompletion();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(EventQueue, NearScheduleAfterIdleFarRunUntilFiresFirst)
+{
+    EventQueue q;
+    std::vector<int> order;
+    // An idle runUntil over a far-only queue advances the clock but
+    // fires nothing; a later near-future schedule must still fire
+    // before the far entry.
+    const Tick far = 10 * tickUs;
     q.schedule(far, [&order] { order.push_back(2); });
     q.runUntil(100);
     EXPECT_EQ(q.now(), 100u);
@@ -171,7 +188,7 @@ TEST(CalendarQueue, CursorRewindsForNearSchedulesAfterFarPeek)
     EXPECT_EQ(q.now(), far);
 }
 
-TEST(CalendarQueue, RunUntilExecutesEventsExactlyAtLimit)
+TEST(EventQueue, RunUntilExecutesEventsExactlyAtLimit)
 {
     EventQueue q;
     int fired = 0;
@@ -188,11 +205,11 @@ TEST(CalendarQueue, RunUntilExecutesEventsExactlyAtLimit)
     EXPECT_EQ(fired, 4);
 }
 
-TEST(CalendarQueue, RunUntilAdvancesIdleTimeToLimit)
+TEST(EventQueue, RunUntilAdvancesIdleTimeToLimit)
 {
     EventQueue q;
-    EXPECT_EQ(q.runUntil(5 * wheelHorizon), 5 * wheelHorizon);
-    EXPECT_EQ(q.now(), 5 * wheelHorizon);
+    EXPECT_EQ(q.runUntil(5 * tickUs), 5 * tickUs);
+    EXPECT_EQ(q.now(), 5 * tickUs);
     // And the queue still accepts/executes later work correctly.
     int fired = 0;
     q.scheduleIn(10, [&] { ++fired; });
@@ -200,16 +217,15 @@ TEST(CalendarQueue, RunUntilAdvancesIdleTimeToLimit)
     EXPECT_EQ(fired, 1);
 }
 
-TEST(CalendarQueue, ResetClearsWheelOverflowAndClock)
+TEST(EventQueue, ResetClearsPendingEventsAndClock)
 {
     EventQueue q;
     q.schedule(10, [] {});
-    q.schedule(5 * wheelHorizon, [] {});
+    q.schedule(5 * tickUs, [] {});
     q.runUntil(20);
     q.reset();
     EXPECT_EQ(q.now(), 0u);
     EXPECT_EQ(q.pending(), 0u);
-    EXPECT_EQ(q.overflowPending(), 0u);
     EXPECT_EQ(q.executed(), 0u);
     // Post-reset scheduling starts from tick zero again.
     std::vector<int> order;
@@ -219,7 +235,7 @@ TEST(CalendarQueue, ResetClearsWheelOverflowAndClock)
     EXPECT_EQ(order, (std::vector<int>{0, 1}));
 }
 
-TEST(CalendarQueue, CheckerCadenceFollowsEveryN)
+TEST(EventQueue, CheckerCadenceFollowsEveryN)
 {
     EventQueue q;
     CheckerRegistry registry;
@@ -241,7 +257,7 @@ TEST(CalendarQueue, CheckerCadenceFollowsEveryN)
     EXPECT_EQ(registry.checksRun(), 3u);
 }
 
-TEST(CalendarQueue, StepExecutesOneEventAtATime)
+TEST(EventQueue, StepExecutesOneEventAtATime)
 {
     EventQueue q;
     int fired = 0;
@@ -253,6 +269,60 @@ TEST(CalendarQueue, StepExecutesOneEventAtATime)
     EXPECT_TRUE(q.step());
     EXPECT_FALSE(q.step());
     EXPECT_EQ(fired, 2);
+}
+
+/** Trivially copyable capture for the clone test: appends its id to
+ *  the log it points at, which the fork fixup retargets. */
+struct LogFire
+{
+    std::vector<int> *log;
+    int id;
+
+    void operator()() const { log->push_back(id); }
+
+    void relocate(const SnapshotFixup &fixup) { log = fixup.translate(log); }
+};
+
+TEST(EventQueue, ClonedQueueFiresTheSameSequence)
+{
+    std::vector<int> srcLog;
+    std::vector<int> dstLog;
+    EventQueue src;
+    // Same-tick groups near and far, scheduled out of tick order.
+    for (int id = 0; id < 4; ++id)
+        src.schedule(10 * tickUs, LogFire{&srcLog, 100 + id});
+    for (int id = 0; id < 6; ++id)
+        src.schedule(500, LogFire{&srcLog, id});
+    src.schedule(2 * tickUs, LogFire{&srcLog, 50});
+    src.schedule(100, LogFire{&srcLog, -1});
+    // Partly drain: the tick-100 entry and half the tick-500 group,
+    // then add one entry at the current tick.
+    for (int i = 0; i < 4; ++i)
+        ASSERT_TRUE(src.step());
+    EXPECT_EQ(srcLog, (std::vector<int>{-1, 0, 1, 2}));
+    src.schedule(src.now(), LogFire{&srcLog, 7});
+
+    SnapshotFixup fixup;
+    fixup.mapObject(&srcLog, &dstLog);
+    EventQueue dst;
+    cloneEventQueue(src, dst, fixup,
+                    {makeEventRelocator<LogFire>("LogFire")});
+    EXPECT_EQ(dst.now(), src.now());
+    EXPECT_EQ(dst.pending(), src.pending());
+    EXPECT_EQ(dst.seqCounter(), src.seqCounter());
+    EXPECT_EQ(dst.executed(), src.executed());
+
+    // A schedule after the fork sorts after every restored entry of
+    // its tick, in both worlds.
+    src.schedule(10 * tickUs, LogFire{&srcLog, 200});
+    dst.schedule(10 * tickUs, LogFire{&dstLog, 200});
+    srcLog.clear();
+    src.runToCompletion();
+    dst.runToCompletion();
+    EXPECT_EQ(srcLog,
+              (std::vector<int>{3, 4, 5, 7, 50, 100, 101, 102, 103, 200}));
+    EXPECT_EQ(dstLog, srcLog);
+    EXPECT_EQ(dst.executed(), src.executed());
 }
 
 TEST(SboEvent, NonTrivialCapturesDestructOnce)
@@ -290,7 +360,7 @@ TEST(SboEvent, StdFunctionFitsViaManagerPath)
     EventQueue q;
     int fired = 0;
     std::function<void()> fn = [&fired] { ++fired; };
-    q.schedule(3 * wheelHorizon, fn); // overflow -> migrate -> wheel
+    q.schedule(3 * tickUs, fn); // into the slab, moved out to fire
     q.runToCompletion();
     EXPECT_EQ(fired, 1);
 }
@@ -346,8 +416,8 @@ TEST(AllocationGuard, SteadyStateEventLoopIsAllocationFree)
 {
     EventQueue q;
     // 64 interleaved self-scheduling chains, mimicking the port/vault
-    // pipelines: warm one full wheel revolution so every bucket slot
-    // and the drain vector reach their steady capacity...
+    // pipelines: warm 2 us so the heap, the slab and its free list
+    // reach their steady capacity...
     std::uint64_t executed = 0;
     struct Chain
     {
@@ -365,7 +435,7 @@ TEST(AllocationGuard, SteadyStateEventLoopIsAllocationFree)
     for (int i = 0; i < 64; ++i)
         q.schedule(static_cast<Tick>(i),
                    Chain{&q, &executed, Tick{97} + Tick(i % 7)});
-    q.runUntil(2 * wheelHorizon);
+    q.runUntil(2 * tickUs);
     const std::uint64_t warmed = executed;
     ASSERT_GT(warmed, 100000u);
 
@@ -373,7 +443,7 @@ TEST(AllocationGuard, SteadyStateEventLoopIsAllocationFree)
     // traffic per schedule or per fire (the acceptance criterion of
     // docs/performance.md).
     const std::size_t before = g_allocations;
-    q.runUntil(4 * wheelHorizon);
+    q.runUntil(4 * tickUs);
     const std::size_t during = g_allocations - before;
     EXPECT_GE(executed, 2 * warmed - 64);
     EXPECT_EQ(during, 0u);

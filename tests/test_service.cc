@@ -198,6 +198,11 @@ TEST(Arrival, DiurnalTraceParserRejectsMalformedInput)
     EXPECT_FALSE(parseDiurnalTrace("100: 1.0", out));
     EXPECT_FALSE(parseDiurnalTrace("100:inf", out));
     EXPECT_FALSE(parseDiurnalTrace("100:0x1p9999", out));
+    // Durations read like every other key number: no leading zero,
+    // and no empty segment after a comma.
+    EXPECT_FALSE(parseDiurnalTrace("0100:1.0", out));
+    EXPECT_FALSE(parseDiurnalTrace("100:1.0,", out));
+    EXPECT_FALSE(parseDiurnalTrace("100:1.0,,200:1.0", out));
     // Hand-written decimal scales are accepted.
     EXPECT_TRUE(parseDiurnalTrace("100:1.5,200:0.5", out));
     ASSERT_EQ(out.size(), 2u);

@@ -310,24 +310,6 @@ TEST(StatsBatch, HexfloatRoundTripPreservesFlushedBits)
     }
 }
 
-TEST(StatsBatch, SampleBatchMatchesPerSamplePinnedFields)
-{
-    std::vector<double> values;
-    Xoshiro256StarStar rng(9);
-    for (int i = 0; i < 5000; ++i)
-        values.push_back(rng.nextDouble() * 1e5);
-    SampleStats ref;
-    for (const double v : values)
-        ref.sample(v);
-    SampleStats got;
-    got.sampleBatch(values.data(), values.size());
-    EXPECT_EQ(ref.count(), got.count());
-    EXPECT_EQ(bitsOf(ref.sum()), bitsOf(got.sum()));
-    EXPECT_EQ(bitsOf(ref.min()), bitsOf(got.min()));
-    EXPECT_EQ(bitsOf(ref.max()), bitsOf(got.max()));
-    EXPECT_NEAR(got.variance(), ref.variance(), ref.variance() * 1e-9);
-}
-
 TEST(StatsBatch, ClearDropsBufferedSamples)
 {
     SampleStats stats;
