@@ -5,17 +5,17 @@
  * The coordinator ships fully-resolved configurations (derived seed
  * included) to workers, so a worker never re-derives anything -- the
  * point it simulates is byte-for-byte the point the coordinator
- * expanded. The codec therefore has to cover exactly the field set
- * configDigest() hashes (runner/config_digest.cc is the authoritative
- * enumeration): every frame carries the coordinator-computed digest,
- * and the worker recomputes configDigest() over the decoded struct
- * and refuses the point on mismatch. A codec that silently dropped or
- * defaulted a field cannot pass that check, which is what makes the
- * distributed byte-identity guarantee enforceable rather than hoped
- * for.
+ * expanded. The codec and configDigest() walk the same field list
+ * (runner/config_fields.hh), so the wire carries exactly the fields
+ * the digest hashes. Every frame also carries the coordinator-computed
+ * digest, and the worker recomputes configDigest() over the decoded
+ * struct and refuses the point on mismatch: a frame that lost or
+ * altered a field in transit cannot pass that check, which is what
+ * makes the distributed byte-identity guarantee enforceable rather
+ * than hoped for.
  *
  * Format: "hmcsim-config v1" header line, then one "key value" line
- * per field in digest order. Doubles are C99 hexfloats (%a); strings
+ * per field in list order. Doubles are C99 hexfloats (%a); strings
  * are percent-escaped so embedded newlines cannot break framing.
  */
 

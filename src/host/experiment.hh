@@ -28,9 +28,9 @@ namespace hmcsim
 
 /**
  * Fields shared by every experiment flavor (bandwidth/latency and
- * stream-GUPS). Factoring them out keeps the two configs in sync and
- * lets the runner's configDigest() cover both with one serializer
- * (runner/config_digest.hh).
+ * stream-GUPS). Factoring them out keeps the two configs in sync;
+ * ExperimentConfig's field list (runner/config_fields.hh) walks them
+ * for the wire codec and configDigest().
  */
 struct CommonExperimentConfig
 {

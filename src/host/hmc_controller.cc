@@ -18,6 +18,9 @@ calibrationError(const ControllerCalibration &cal)
 {
     if (cal.numLinks == 0 || cal.numLinks > 256)
         return "controller.numLinks must be from 1 to 256";
+    // The fixed pipeline latencies multiply it by 32-bit cycle counts.
+    if (cal.fpgaCyclePs >= (Tick{1} << 32))
+        return "controller.fpgaCyclePs must be below 2^32 ps";
     if (!validRate(cal.txBytesPerSecondPerLink))
         return "controller.txBytesPerSecondPerLink must be positive";
     if (!validRate(cal.rxBytesPerSecondPerLink))

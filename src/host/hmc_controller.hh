@@ -55,8 +55,10 @@ struct ControllerStats
 
 /**
  * Why no controller can be built from @p cal: no link, more links than
- * the 8-bit packet link field addresses, or a TX/RX link rate that is
- * not validRate(). Names the field by its wire key; null when it can.
+ * the 8-bit packet link field addresses, an FPGA cycle of 2^32 ps or
+ * more (the fixed pipeline latencies multiply it by 32-bit cycle
+ * counts), or a TX/RX link rate that is not validRate(). Names the
+ * field by its wire key; null when it can.
  * HmcController fatal()s on it and validateExperimentConfig() refuses
  * it.
  */

@@ -53,12 +53,25 @@ backendConfigError(const DramTimings &vault_timings,
         return "vault.timings.beatBytes must be at least 1";
     if (vault_timings.rowBytes == 0)
         return "vault.timings.rowBytes must be at least 1";
+    // Bank::access() multiplies tBeat by a 32-bit beat count.
+    if (vault_timings.tBeat >= (Tick{1} << 32))
+        return "vault.timings.tBeat must be below 2^32 ps";
+    // Every bank allocates its write-queue ring up front: 8 KiB at this
+    // bound, 512 MiB over the largest device's 2^16 banks.
+    if (cfg.kind == BackendKind::Nvm && cfg.nvmWriteQueueDepth > 1024)
+        return "backend.nvmWriteQueueDepth must be at most 1024";
     if (cfg.kind != BackendKind::Ddr4)
         return nullptr;
     if (cfg.ddrTimings.beatBytes == 0)
         return "backend.ddrTimings.beatBytes must be at least 1";
+    // The vault bus sizes a transfer as a 32-bit beat count times
+    // beatBytes.
+    if (cfg.ddrTimings.beatBytes >= (Bytes{1} << 32))
+        return "backend.ddrTimings.beatBytes must be below 2^32";
     if (cfg.ddrTimings.rowBytes == 0)
         return "backend.ddrTimings.rowBytes must be at least 1";
+    if (cfg.ddrTimings.tBeat >= (Tick{1} << 32))
+        return "backend.ddrTimings.tBeat must be below 2^32 ps";
     if (!validRate(cfg.ddrBusBytesPerSecond))
         return "backend.ddrBusBytesPerSecond must be positive";
     if (cfg.ddrActivatesPerFaw == 0)

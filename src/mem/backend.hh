@@ -52,8 +52,9 @@ bool parseBackendKind(const std::string &name, BackendKind &out);
 /**
  * Backend selection plus per-kind model parameters. Lives inside
  * VaultConfig so it reaches every experiment through
- * ExperimentConfig::device; all fields are part of the canonical
- * config digest (runner/config_digest.cc, "hmcsim.experiment.v2").
+ * ExperimentConfig::device; all fields are in the config's field list
+ * (runner/config_fields.hh), so the wire and the canonical config
+ * digest ("hmcsim.experiment.v2") both carry them.
  */
 struct MemoryBackendConfig
 {
@@ -187,10 +188,13 @@ class MemoryBackend
 /**
  * Why no storage engine can be built behind a vault with
  * @p vault_timings and @p cfg: a zero beat or row size (the engines
- * divide by them), or, for the DDR4 engine, a bus rate that is not
- * validRate() or no activates per tFAW. Names the field by its wire
- * key; null when the engine can be built. makeMemoryBackend() fatal()s
- * on it and validateExperimentConfig() refuses it.
+ * divide by them), a beat time of 2^32 ps or more (a 32-bit beat count
+ * times it must fit a tick), for the NVM engine a write queue deeper
+ * than 1024 (every bank allocates it up front), or, for the DDR4
+ * engine, its own beat size or time of 2^32 or more, a bus rate that
+ * is not validRate() or no activates per tFAW. Names the field by its
+ * wire key; null when the engine can be built. makeMemoryBackend()
+ * fatal()s on it and validateExperimentConfig() refuses it.
  */
 const char *backendConfigError(const DramTimings &vault_timings,
                                const MemoryBackendConfig &cfg);

@@ -1,7 +1,10 @@
 #include "runner/config_digest.hh"
 
-#include <cstring>
-#include <string>
+#include <string_view>
+#include <type_traits>
+
+#include "runner/config_fields.hh"
+#include "sim/fnv1a.hh"
 
 namespace hmcsim
 {
@@ -9,141 +12,59 @@ namespace hmcsim
 namespace
 {
 
-/** FNV-1a accumulator with typed, width-explicit append helpers. */
-class Fnv1a
+/**
+ * A codec (runner/config_fields.hh) that hashes the field list instead
+ * of writing it: integers, enums and bools enter as 8 bytes, doubles
+ * as their bits, strings as their length then their bytes (so "ab","c"
+ * never collides with "a","bc"). Keys are not hashed; the field keyed
+ * @c skip is left out.
+ */
+struct DigestCodec
 {
-  public:
-    void
-    bytes(const void *data, std::size_t n)
+    Fnv1a h;
+    std::string_view skip;
+
+    bool key(const KvKey &) { return true; }
+    bool endLine() { return true; }
+    bool check(bool) { return true; }
+
+    /** One value; an enum's trailing "last" argument is not hashed. */
+    template <typename T, typename... Last>
+    bool
+    value(const T &v, const Last &...)
     {
-        const auto *p = static_cast<const unsigned char *>(data);
-        for (std::size_t i = 0; i < n; ++i) {
-            hash ^= p[i];
-            hash *= 0x100000001B3ULL;
-        }
+        if constexpr (std::is_floating_point_v<T>)
+            h.f64(v);
+        else
+            h.u64(static_cast<std::uint64_t>(v));
+        return true;
     }
 
-    void
-    u64(std::uint64_t v)
+    bool
+    escaped(std::string_view v)
     {
-        bytes(&v, sizeof(v));
+        h.u64(v.size());
+        h.bytes(v.data(), v.size());
+        return true;
     }
 
-    void
-    f64(double v)
+    template <typename... Args>
+    bool
+    field(const KvKey &k, const Args &...args)
     {
-        std::uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(v));
-        std::memcpy(&bits, &v, sizeof(bits));
-        u64(bits);
+        return (k.tail.empty() && k.head == skip) || value(args...);
     }
-
-    /** Length-prefixed so "ab","c" never collides with "a","bc". */
-    void
-    str(const std::string &s)
-    {
-        u64(s.size());
-        bytes(s.data(), s.size());
-    }
-
-    std::uint64_t value() const { return hash; }
-
-  private:
-    std::uint64_t hash = 0xCBF29CE484222325ULL;
 };
 
-void
-mixTimings(Fnv1a &h, const DramTimings &t)
+/** FNV-1a of the version @p tag, then of every field but @p skip. */
+std::uint64_t
+digest(const ExperimentConfig &cfg, std::string_view tag,
+       std::string_view skip)
 {
-    h.u64(t.tRcd);
-    h.u64(t.tCl);
-    h.u64(t.tRp);
-    h.u64(t.tRas);
-    h.u64(t.tWr);
-    h.u64(t.tCcd);
-    h.u64(t.tBeat);
-    h.u64(t.beatBytes);
-    h.u64(t.rowBytes);
-    h.u64(t.tRefi);
-    h.u64(t.tRfc);
-}
-
-void
-mixBackend(Fnv1a &h, const MemoryBackendConfig &b)
-{
-    h.u64(static_cast<std::uint64_t>(b.kind));
-    mixTimings(h, b.ddrTimings);
-    h.u64(static_cast<std::uint64_t>(b.ddrPolicy));
-    h.f64(b.ddrBusBytesPerSecond);
-    h.u64(b.ddrTFaw);
-    h.u64(b.ddrActivatesPerFaw);
-    h.u64(b.nvmReadLatency);
-    h.u64(b.nvmWriteLatency);
-    h.u64(b.nvmWriteAck);
-    h.u64(b.nvmWriteQueueDepth);
-}
-
-void
-mixDevice(Fnv1a &h, const HmcDeviceConfig &d)
-{
-    h.str(d.structure.name);
-    h.u64(d.structure.capacity);
-    h.u64(d.structure.numDramLayers);
-    h.u64(d.structure.dramLayerGbits);
-    h.u64(d.structure.numQuadrants);
-    h.u64(d.structure.numVaults);
-    h.u64(d.structure.partitionsPerLayer);
-    h.u64(d.structure.banksPerPartition);
-
-    h.u64(d.vault.numBanks);
-    mixTimings(h, d.vault.timings);
-    h.u64(static_cast<std::uint64_t>(d.vault.policy));
-    h.u64(d.vault.controllerLatency);
-    h.u64(d.vault.commandBeats);
-    h.u64(d.vault.atomicLatency);
-    h.u64(d.vault.refreshEnabled ? 1 : 0);
-    h.f64(d.vault.refreshMultiplier);
-    mixBackend(h, d.vault.backend);
-
-    h.u64(static_cast<std::uint64_t>(d.maxBlock));
-    h.u64(static_cast<std::uint64_t>(d.mapping));
-    h.u64(d.quadrantLocalLatency);
-    h.u64(d.quadrantHopLatency);
-    h.u64(d.responsePathLatency);
-}
-
-void
-mixController(Fnv1a &h, const ControllerCalibration &c)
-{
-    h.u64(c.fpgaCyclePs);
-    h.u64(c.flitsToParallelCycles);
-    h.u64(c.arbiterCycles);
-    h.u64(c.seqFlowCrcCycles);
-    h.u64(c.serdesConvertCycles);
-    h.u64(c.txPropagation);
-    h.u64(c.rxPropagation);
-    h.u64(c.rxFixedCycles);
-    h.u64(c.rxPerFlit);
-    h.f64(c.txBytesPerSecondPerLink);
-    h.f64(c.rxBytesPerSecondPerLink);
-    h.u64(c.txPerPacketOverheadBytes);
-    h.u64(c.rxPerPacketOverheadBytes);
-    h.u64(c.numLinks);
-    h.f64(c.bitErrorRate);
-    h.u64(c.inputBufferFlits);
-}
-
-void
-mixPattern(Fnv1a &h, const AccessPattern &p)
-{
-    // The pattern name is cosmetic for simulation but flows into
-    // MeasurementResult::patternName, so it is part of the identity a
-    // cached result must reproduce.
-    h.str(p.name);
-    h.u64(p.mask);
-    h.u64(p.antiMask);
-    h.u64(p.vaultSpan);
-    h.u64(p.bankSpan);
+    DigestCodec codec{{}, skip};
+    codec.escaped(tag);
+    codeConfig(codec, cfg);
+    return codec.h.value();
 }
 
 } // namespace
@@ -151,71 +72,19 @@ mixPattern(Fnv1a &h, const AccessPattern &p)
 std::uint64_t
 configDigest(const ExperimentConfig &cfg, bool include_seed)
 {
-    Fnv1a h;
-    // Version tag: bump when the serialization below changes, so
-    // stale on-disk cache entries can never match new digests.
+    // Version tag: bump when the field list changes, so stale on-disk
+    // cache entries can never match new digests.
     // v2: vault backend selection + per-backend parameters.
-    h.str("hmcsim.experiment.v2");
-
-    mixPattern(h, cfg.pattern);
-
-    h.u64(static_cast<std::uint64_t>(cfg.mix));
-    h.u64(cfg.requestSize);
-    h.u64(static_cast<std::uint64_t>(cfg.mode));
-    h.u64(cfg.numPorts);
-    h.u64(cfg.warmup);
-    h.u64(cfg.measure);
-    if (include_seed)
-        h.u64(cfg.seed);
-
-    mixDevice(h, cfg.device);
-    mixController(h, cfg.controller);
-    return h.value();
+    return digest(cfg, "hmcsim.experiment.v2", include_seed ? "" : "seed");
 }
 
 std::uint64_t
 warmupDigest(const ExperimentConfig &cfg)
 {
-    Fnv1a h;
     // Distinct tag: warm-up identities live in their own namespace.
-    // v1: configDigest v2 minus the measure window, seed included.
-    h.str("hmcsim.warmup.v1");
-
-    mixPattern(h, cfg.pattern);
-
-    h.u64(static_cast<std::uint64_t>(cfg.mix));
-    h.u64(cfg.requestSize);
-    h.u64(static_cast<std::uint64_t>(cfg.mode));
-    h.u64(cfg.numPorts);
-    h.u64(cfg.warmup);
-    // cfg.measure deliberately omitted: the measurement window starts
-    // after the fork point, so it cannot influence the warm state.
-    h.u64(cfg.seed);
-
-    mixDevice(h, cfg.device);
-    mixController(h, cfg.controller);
-    return h.value();
-}
-
-std::uint64_t
-configDigest(const StreamExperimentConfig &cfg, bool include_seed)
-{
-    Fnv1a h;
-    // Distinct version tag: a stream config can never collide with a
-    // bandwidth/latency config, even with identical shared fields.
-    // v2: vault backend selection + per-backend parameters.
-    h.str("hmcsim.stream.v2");
-
-    mixPattern(h, cfg.pattern);
-    h.u64(cfg.requestSize);
-    h.u64(cfg.requestsPerStream);
-    h.u64(cfg.repetitions);
-    if (include_seed)
-        h.u64(cfg.seed);
-
-    mixDevice(h, cfg.device);
-    mixController(h, cfg.controller);
-    return h.value();
+    // v1: configDigest v2 minus the measure window (which starts after
+    // the fork point, so it cannot influence the warm state).
+    return digest(cfg, "hmcsim.warmup.v1", "measure");
 }
 
 } // namespace hmcsim

@@ -2,14 +2,15 @@
  * @file
  * Content-addressed identity of an experiment configuration.
  *
- * The digest is an FNV-1a hash over a *canonical serialization* of
- * every field of ExperimentConfig (the same bit-exact hashing idiom
- * as StatRegistry::digest()): each field is appended in a fixed,
- * documented order with explicit widths, so the value depends only on
- * the configured experiment -- never on struct layout, padding bytes,
- * or the order a caller happened to assign fields in. Two configs
- * that would simulate identically hash identically; flipping any
- * single field (timing constant, mask bit, seed) changes the digest.
+ * The digest is an FNV-1a hash (sim/fnv1a.hh) over the config's one
+ * field list (runner/config_fields.hh), the same list the wire codec
+ * writes: each field enters in list order with an explicit width, so
+ * the value depends only on the configured experiment -- never on
+ * struct layout, padding bytes, or the order a caller happened to
+ * assign fields in. Two configs that would simulate identically hash
+ * identically; flipping any single field (timing constant, mask bit,
+ * seed) changes the digest, and a field added to the list is hashed
+ * without further edits.
  *
  * Uses: result-cache keys (runner/result_cache.hh), per-job seed
  * derivation (runner/sweep.hh), and the digest column of the
@@ -35,15 +36,6 @@ namespace hmcsim
  *        a function of "everything but the seed" without circularity.
  */
 std::uint64_t configDigest(const ExperimentConfig &cfg,
-                           bool include_seed = true);
-
-/**
- * Canonical FNV-1a digest of a stream-GUPS configuration. Uses a
- * distinct version tag, so stream and bandwidth/latency configs can
- * never collide even when their shared CommonExperimentConfig fields
- * are identical.
- */
-std::uint64_t configDigest(const StreamExperimentConfig &cfg,
                            bool include_seed = true);
 
 /**

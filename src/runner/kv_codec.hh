@@ -19,8 +19,9 @@
  *
  * Both classes offer the same calls with the same return type, so one
  * field list, written once as a template over the codec, drives both
- * directions (see wire.cc). A writer call always succeeds; a reader
- * call returns false on the first malformed or missing field.
+ * directions (see runner/config_fields.hh, which the config digest
+ * walks too). A writer call always succeeds; a reader call returns
+ * false on the first malformed or missing field.
  */
 
 #ifndef HMCSIM_RUNNER_KV_CODEC_HH

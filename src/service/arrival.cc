@@ -9,6 +9,7 @@
 #include <cstring>
 #include <string_view>
 
+#include "sim/fnv1a.hh"
 #include "sim/logging.hh"
 #include "sim/text.hh"
 
@@ -17,46 +18,6 @@ namespace hmcsim
 
 namespace
 {
-
-/**
- * Canonical FNV-1a accumulator, the same hashing idiom as
- * runner/config_digest.cc (kept local there too: the digest is
- * defined by its byte stream, not by sharing code).
- */
-struct Fnv1a
-{
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-
-    void
-    byte(unsigned char b)
-    {
-        h ^= b;
-        h *= 0x100000001b3ULL;
-    }
-
-    void
-    u64(std::uint64_t v)
-    {
-        for (int i = 0; i < 8; ++i)
-            byte(static_cast<unsigned char>((v >> (8 * i)) & 0xff));
-    }
-
-    void
-    f64(double v)
-    {
-        std::uint64_t bits;
-        std::memcpy(&bits, &v, sizeof(bits));
-        u64(bits);
-    }
-
-    void
-    str(const char *s)
-    {
-        for (; *s; ++s)
-            byte(static_cast<unsigned char>(*s));
-        byte(0);
-    }
-};
 
 /** Uniform draw in (0, 1]: never 0, so negLogUnit is always finite. */
 double
@@ -264,8 +225,10 @@ arrivalKindName(ArrivalKind kind)
 std::uint64_t
 arrivalConfigDigest(const ArrivalConfig &cfg)
 {
+    // The tag enters with its NUL terminator.
+    static constexpr char tag[] = "hmcsim.arrival.v1";
     Fnv1a fnv;
-    fnv.str("hmcsim.arrival.v1");
+    fnv.bytes(tag, sizeof(tag));
     fnv.u64(static_cast<std::uint64_t>(cfg.kind));
     fnv.f64(cfg.ratePerSec);
     fnv.f64(cfg.burstRatePerSec);
@@ -276,7 +239,7 @@ arrivalConfigDigest(const ArrivalConfig &cfg)
         fnv.u64(seg.duration);
         fnv.f64(seg.rateScale);
     }
-    return fnv.h;
+    return fnv.value();
 }
 
 std::uint64_t

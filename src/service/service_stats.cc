@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "sim/fnv1a.hh"
+
 namespace hmcsim
 {
 
@@ -90,21 +92,14 @@ ServiceStats::meanSojournNs() const
 std::uint64_t
 ServiceStats::digest() const
 {
-    // FNV-1a over the counters, then fold in the sojourn multiset's
-    // own digest (same idiom as StatRegistry::digest()).
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    const auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 0x100000001b3ULL;
-        }
-    };
-    mix(requests);
-    mix(firstArrival);
-    mix(lastCompletion);
-    mix(sumSojournTicks);
-    mix(sojourn.digest());
-    return h;
+    // The counters, then the sojourn multiset's own digest.
+    Fnv1a h;
+    h.u64(requests);
+    h.u64(firstArrival);
+    h.u64(lastCompletion);
+    h.u64(sumSojournTicks);
+    h.u64(sojourn.digest());
+    return h.value();
 }
 
 std::string

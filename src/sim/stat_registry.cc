@@ -1,10 +1,10 @@
 #include "sim/stat_registry.hh"
 
 #include <algorithm>
-#include <cstring>
 #include <iomanip>
 #include <sstream>
 
+#include "sim/fnv1a.hh"
 #include "sim/logging.hh"
 
 namespace hmcsim
@@ -57,26 +57,14 @@ StatRegistry::matching(const std::string &prefix) const
 std::uint64_t
 StatRegistry::digest() const
 {
-    // FNV-1a, 64-bit. Values hash by exact bit pattern (memcpy through
-    // uint64) so even sub-ulp nondeterminism changes the digest.
-    std::uint64_t hash = 0xCBF29CE484222325ULL;
-    const auto mix = [&hash](const unsigned char *bytes, std::size_t n) {
-        for (std::size_t i = 0; i < n; ++i) {
-            hash ^= bytes[i];
-            hash *= 0x100000001B3ULL;
-        }
-    };
+    // Each name's bytes, then its value's exact bits, so even sub-ulp
+    // nondeterminism changes the digest.
+    Fnv1a h;
     for (const StatEntry *entry : matching("")) {
-        mix(reinterpret_cast<const unsigned char *>(entry->name.data()),
-            entry->name.size());
-        const double value = entry->value();
-        std::uint64_t bits;
-        static_assert(sizeof(bits) == sizeof(value));
-        std::memcpy(&bits, &value, sizeof(bits));
-        mix(reinterpret_cast<const unsigned char *>(&bits),
-            sizeof(bits));
+        h.bytes(entry->name.data(), entry->name.size());
+        h.f64(entry->value());
     }
-    return hash;
+    return h.value();
 }
 
 std::string

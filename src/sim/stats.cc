@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "sim/fnv1a.hh"
 #include "sim/logging.hh"
 
 namespace hmcsim
@@ -348,19 +349,12 @@ std::uint64_t
 TickQuantiles::digest() const
 {
     ensureSorted();
-    // FNV-1a over the count then each sorted 64-bit tick, low byte
-    // first (the same hashing idiom as StatRegistry::digest()).
-    std::uint64_t h = 0xcbf29ce484222325ULL;
-    const auto mix = [&h](std::uint64_t v) {
-        for (int i = 0; i < 8; ++i) {
-            h ^= (v >> (8 * i)) & 0xff;
-            h *= 0x100000001b3ULL;
-        }
-    };
-    mix(samples.size());
+    // The count, then each sorted tick.
+    Fnv1a h;
+    h.u64(samples.size());
     for (const Tick t : samples)
-        mix(t);
-    return h;
+        h.u64(t);
+    return h.value();
 }
 
 double

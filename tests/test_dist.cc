@@ -18,11 +18,17 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "dist/coordinator.hh"
 #include "dist/net.hh"
@@ -116,6 +122,71 @@ withField(const std::string &blob, const std::string &key,
     return blob.substr(0, start) + value + blob.substr(end);
 }
 
+/** Each "key value" line of @p blob after its header line. */
+std::vector<std::pair<std::string, std::string>>
+wireLines(const std::string &blob)
+{
+    std::vector<std::pair<std::string, std::string>> lines;
+    for (std::size_t at = blob.find('\n') + 1; at < blob.size();) {
+        const std::size_t space = blob.find(' ', at);
+        const std::size_t end = blob.find('\n', at);
+        lines.emplace_back(blob.substr(at, space - at),
+                           blob.substr(space + 1, end - space - 1));
+        at = end + 1;
+    }
+    return lines;
+}
+
+/** Values unlike @p value that its line may decode: a neighbour,
+ *  half or double of an integer, twice a hexfloat, a longer string. */
+std::vector<std::string>
+otherValues(const std::string &value)
+{
+    if (value.find_first_not_of("0123456789") == std::string::npos) {
+        const std::uint64_t v = std::stoull(value);
+        return {std::to_string(v + 1), std::to_string(v - 1),
+                std::to_string(v / 2), std::to_string(v * 2)};
+    }
+    if (value.starts_with("0x") || value.starts_with("-0x")) {
+        const double v = std::strtod(value.c_str(), nullptr);
+        char buf[40];
+        std::snprintf(buf, sizeof(buf), "%a", v == 0.0 ? 0.5 : 2 * v);
+        return {buf};
+    }
+    return {value + "x"};
+}
+
+TEST(ConfigDigest, EveryFieldChangesTheDigest)
+{
+    // Generated from the wire text, so a field added to the one field
+    // list (runner/config_fields.hh) is covered here with no edit.
+    const ExperimentConfig base;
+    const std::string blob = encodeExperimentConfig(base);
+    const auto lines = wireLines(blob);
+    std::set<std::uint64_t> digests{configDigest(base)};
+    for (const auto &[key, value] : lines) {
+        ExperimentConfig cfg;
+        bool decoded = false;
+        for (const std::string &other : otherValues(value)) {
+            decoded = other != value &&
+                      decodeExperimentConfig(withField(blob, key, other), cfg);
+            if (decoded)
+                break;
+        }
+        ASSERT_TRUE(decoded) << key << " " << value;
+        digests.insert(configDigest(cfg));
+        // Only the seed line is outside the seedless digest, and only
+        // the measure line outside the warm-up digest.
+        EXPECT_EQ(configDigest(cfg, false) == configDigest(base, false),
+                  key == "seed")
+            << key;
+        EXPECT_EQ(warmupDigest(cfg) == warmupDigest(base), key == "measure")
+            << key;
+    }
+    // No variant collided with another or with the default.
+    EXPECT_EQ(digests.size(), lines.size() + 1);
+}
+
 TEST(WireCodec, RejectsMalformedFields)
 {
     const std::string blob = encodeExperimentConfig(wireTestConfig());
@@ -149,12 +220,21 @@ TEST(WireCodec, RejectsMalformedFields)
         decodeExperimentConfig(blob.substr(0, blob.size() - 1), out));
 }
 
+/** A wire value that decodes, yet no model can be built from, under
+ *  the storage engine that reads it. */
+struct UnbuildableField
+{
+    const char *key;
+    const char *value;
+    BackendKind kind = BackendKind::Ddr4;
+};
+
 /**
- * Wire values that decode, yet no model can be built from: a constructor
- * would fatal() or divide by zero on each. The DDR4 fields count because
- * unbuildableConfig() selects that engine.
+ * Values a constructor would fatal() on, divide by zero with, or
+ * overflow simulated time or memory with. The DDR4 fields count
+ * because that engine is the default here.
  */
-const std::pair<const char *, const char *> kUnbuildableFields[] = {
+const UnbuildableField kUnbuildableFields[] = {
     {"backend.ddrBusBytesPerSecond", "0x0p+0"},
     {"backend.ddrActivatesPerFaw", "0"},
     {"vault.timings.beatBytes", "0"},
@@ -165,15 +245,19 @@ const std::pair<const char *, const char *> kUnbuildableFields[] = {
     {"controller.numLinks", "4294967295"},
     {"backend.ddrTimings.beatBytes", "0"},
     {"backend.ddrTimings.rowBytes", "0"},
+    {"vault.timings.tBeat", "18446744073709551615", BackendKind::HmcDram},
+    {"controller.fpgaCyclePs", "18446744073709551615"},
+    {"backend.ddrTimings.beatBytes", "18446744073709551615"},
+    {"backend.nvmWriteQueueDepth", "4294967295", BackendKind::Nvm},
 };
 
-/** A DDR4-backed config decoded from a frame with @p key set to
- *  @p value. */
+/** A config decoded from a frame with @p key set to @p value, over a
+ *  @p kind-backed default. */
 ExperimentConfig
-unbuildableConfig(const char *key, const char *value)
+unbuildableConfig(const char *key, const char *value, BackendKind kind)
 {
     ExperimentConfig base;
-    base.device.vault.backend.kind = BackendKind::Ddr4;
+    base.device.vault.backend.kind = kind;
     base.measure = 10 * tickUs;
     ExperimentConfig cfg;
     EXPECT_TRUE(decodeExperimentConfig(
@@ -184,14 +268,89 @@ unbuildableConfig(const char *key, const char *value)
 
 TEST(WireCodec, DecodedValuesNoModelAcceptsAreRefusedByKey)
 {
-    for (const auto &[key, value] : kUnbuildableFields) {
+    for (const auto &[key, value, kind] : kUnbuildableFields) {
         std::string error;
-        EXPECT_FALSE(
-            validateExperimentConfig(unbuildableConfig(key, value), error))
+        EXPECT_FALSE(validateExperimentConfig(
+            unbuildableConfig(key, value, kind), error))
             << key << " " << value;
         // One line that starts with the wire key.
         EXPECT_EQ(error.rfind(std::string(key) + " ", 0), 0u) << error;
         EXPECT_EQ(error.find('\n'), std::string::npos) << error;
+    }
+}
+
+/** Whether @p error names wire @p key: by the key itself, or by the
+ *  spelling validateExperimentConfig() shares with serve requests. */
+bool
+namesKey(const std::string &error, const std::string &key)
+{
+    static const std::pair<const char *, const char *> serveSpelling[] = {
+        {"requestSize", "size "},
+        {"numPorts", "ports "},
+        {"warmup", "warmup_us "},
+        {"measure", "measure_us "},
+        {"device.maxBlock", "maxblock "},
+        {"controller.bitErrorRate", "ber "},
+        {"vault.refreshMultiplier", "refresh "},
+        {"structure.", "structure: "},
+    };
+    if (error.find(key) != std::string::npos)
+        return true;
+    for (const auto &[wire, serve] : serveSpelling)
+        if (key.starts_with(wire) && error.starts_with(serve))
+            return true;
+    return false;
+}
+
+/** The largest value the line holding @p value decodes with, tried
+ *  from the widest integer down; a long name for a string line. */
+std::vector<std::string>
+largestValues(const std::string &value)
+{
+    if (value.find_first_not_of("0123456789") == std::string::npos) {
+        std::vector<std::string> out = {"18446744073709551615",
+                                        "4294967295", "65535"};
+        for (int v = 255; v >= 0; --v)
+            out.push_back(std::to_string(v));
+        return out;
+    }
+    if (value.starts_with("0x") || value.starts_with("-0x"))
+        return {"0x1.fffffffffffffp+1023"};
+    return {std::string(4096, 'n')};
+}
+
+TEST(WireCodec, EveryLineAtItsLargestValueIsRefusedByKeyOrRuns)
+{
+    // Each wire line in turn at the largest value it decodes with,
+    // under every storage engine: a model is built from it only if
+    // validateExperimentConfig() accepts it, so it must either be
+    // refused, naming the key, or simulate to the end.
+    for (const BackendKind kind :
+         {BackendKind::HmcDram, BackendKind::Ddr4, BackendKind::Nvm}) {
+        ExperimentConfig base;
+        base.device.vault.backend.kind = kind;
+        base.warmup = 1 * tickUs;
+        base.measure = 2 * tickUs;
+        const std::string blob = encodeExperimentConfig(base);
+        for (const auto &[key, value] : wireLines(blob)) {
+            ExperimentConfig cfg;
+            std::string largest;
+            for (const std::string &v : largestValues(value)) {
+                if (decodeExperimentConfig(withField(blob, key, v), cfg)) {
+                    largest = v;
+                    break;
+                }
+            }
+            ASSERT_FALSE(largest.empty()) << key;
+            SCOPED_TRACE(std::string(backendName(kind)) + " " + key +
+                         " " + largest.substr(0, 32));
+            std::string error;
+            if (!validateExperimentConfig(cfg, error)) {
+                EXPECT_TRUE(namesKey(error, key)) << error;
+                continue;
+            }
+            EXPECT_EQ(runExperiment(cfg).requestSize, cfg.requestSize);
+        }
     }
 }
 
@@ -883,8 +1042,8 @@ TEST(Distributed, WorkerRefusesAWellFormedPointWithAnInvalidConfig)
     ExperimentConfig badVaults;
     badVaults.device.structure.numVaults = 3;
     std::vector<ExperimentConfig> configs = {badSize, badVaults};
-    for (const auto &[key, value] : kUnbuildableFields)
-        configs.push_back(unbuildableConfig(key, value));
+    for (const auto &[key, value, kind] : kUnbuildableFields)
+        configs.push_back(unbuildableConfig(key, value, kind));
     for (ExperimentConfig cfg : configs) {
         cfg.measure = 10 * tickUs;
         const std::filesystem::path sock =

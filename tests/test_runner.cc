@@ -131,48 +131,15 @@ TEST(ConfigDigest, StableAcrossAssignmentOrder)
     EXPECT_EQ(configDigest(a), configDigest(c));
 }
 
-TEST(ConfigDigest, EveryFieldChangesTheDigest)
+TEST(ConfigDigest, DefaultConfigValuesArePinned)
 {
-    const ExperimentConfig base = digestTestConfig();
-    const std::uint64_t ref = configDigest(base);
-
-    auto mutated = [&base](auto &&mutate) {
-        ExperimentConfig cfg = base;
-        mutate(cfg);
-        return configDigest(cfg);
-    };
-
-    std::set<std::uint64_t> digests{ref};
-    digests.insert(
-        mutated([](ExperimentConfig &c) { c.requestSize = 32; }));
-    digests.insert(
-        mutated([](ExperimentConfig &c) { c.mix = RequestMix::Atomic; }));
-    digests.insert(mutated(
-        [](ExperimentConfig &c) { c.mode = AddressingMode::Linear; }));
-    digests.insert(mutated([](ExperimentConfig &c) { c.numPorts = 3; }));
-    digests.insert(mutated([](ExperimentConfig &c) { c.seed = 99; }));
-    digests.insert(
-        mutated([](ExperimentConfig &c) { c.measure = 60 * tickUs; }));
-    digests.insert(mutated([](ExperimentConfig &c) {
-        c.pattern.mask = c.pattern.mask ^ 0x80;
-    }));
-    digests.insert(mutated([](ExperimentConfig &c) {
-        c.device.mapping = MappingScheme::BankFirst;
-    }));
-    digests.insert(mutated([](ExperimentConfig &c) {
-        c.controller.bitErrorRate = 1e-12;
-    }));
-    digests.insert(mutated([](ExperimentConfig &c) {
-        c.device.vault.timings.tRcd += 1;
-    }));
-    digests.insert(mutated([](ExperimentConfig &c) {
-        c.device.vault.backend.kind = BackendKind::Nvm;
-    }));
-    digests.insert(mutated([](ExperimentConfig &c) {
-        c.device.vault.backend.nvmWriteLatency += 1;
-    }));
-    // All 13 distinct: no mutation collided with another or with ref.
-    EXPECT_EQ(digests.size(), 13u);
+    // Digests seed every sweep point and name every store object, so
+    // their values may not move (recorded before the digests were
+    // derived from the wire field list).
+    const ExperimentConfig cfg;
+    EXPECT_EQ(configDigest(cfg), 0x7d05d160192b526cULL);
+    EXPECT_EQ(configDigest(cfg, false), 0xe063424d3027b5bdULL);
+    EXPECT_EQ(warmupDigest(cfg), 0xef089a659f0a6d75ULL);
 }
 
 TEST(ConfigDigest, SeedExcludedOnRequest)

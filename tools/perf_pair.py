@@ -14,6 +14,12 @@ fails (exit 1) unless, for both workloads:
   - head's median items_per_s is below base's by no more than the
     items_per_s bound in HEAD_DIR's BENCHMARK.json.
 
+It also prints base and head medians of every other end_to_end metric
+HEAD_DIR's BENCHMARK.json declares (setup_s, wall_s, peak_rss_mb,
+req_p50_us, req_p99_us), with the direction that is better. Those are
+reported, not judged: on a shared host their run-to-run spread is
+wider than their bounds (docs/performance.md).
+
 Each checkout builds its own perfbench binary under .bench_build/ on
 its first run. The campaign covers every layer of the platform: event
 core, GUPS issue, controller, link, HMC vault dispatch and stats flush.
@@ -45,14 +51,36 @@ def run(checkout, workload):
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def bound(checkout):
-    """The relative bound BENCHMARK.json declares for METRIC."""
-    declared = json.loads((checkout / "BENCHMARK.json").read_text())
-    return next(m["bound"] for m in declared["end_to_end"]
-                if m["name"] == METRIC)
+def end_to_end(checkout):
+    """BENCHMARK.json's end_to_end metric entries in @p checkout."""
+    return json.loads((checkout / "BENCHMARK.json").read_text())[
+        "end_to_end"]
 
 
-def judge(workload, base_dir, head_dir, allowed):
+def summary(values):
+    """The median of @p values and their "[min..max]" range."""
+    return (statistics.median(values),
+            f"[{min(values):.4g}..{max(values):.4g}]")
+
+
+def report(workload, base, head, declared):
+    """Print base and head medians of each declared metric both have."""
+    for metric in declared:
+        name = metric["name"]
+        if name == METRIC or not all(name in r["metrics"]
+                                     for r in base + head):
+            continue
+        (base_median, base_span), (head_median, head_span) = (
+            summary([r["metrics"][name]["value"] for r in runs])
+            for runs in (base, head))
+        change = (f"{head_median / base_median - 1.0:+.1%}"
+                  if base_median else "n/a")
+        print(f"{workload} median {name}: base {base_median:.4g} "
+              f"{base_span}, head {head_median:.4g} {head_span} ({change}; "
+              f"{metric['better']} is better; reported, not judged)")
+
+
+def judge(workload, base_dir, head_dir, allowed, declared):
     """Run @p workload for PAIRS alternating pairs; list its problems."""
     base, head = [], []
     for i in range(PAIRS):
@@ -83,6 +111,7 @@ def judge(workload, base_dir, head_dir, allowed):
     if change < -allowed:
         problems.append(f"{workload} head median {METRIC} is "
                         f"{-change:.1%} below base (bound {allowed:.0%})")
+    report(workload, base, head, declared)
     return problems
 
 
@@ -92,11 +121,12 @@ def main():
               file=sys.stderr)
         return 2
     base_dir, head_dir = (Path(arg).resolve() for arg in sys.argv[1:])
-    allowed = bound(head_dir)
+    declared = end_to_end(head_dir)
+    allowed = next(m["bound"] for m in declared if m["name"] == METRIC)
 
     problems = []
     for workload in WORKLOADS:
-        problems += judge(workload, base_dir, head_dir, allowed)
+        problems += judge(workload, base_dir, head_dir, allowed, declared)
     for problem in problems:
         print(f"FAIL: {problem}")
     return 1 if problems else 0
