@@ -16,7 +16,9 @@
  *    (SweepOptions::warmStart), stat digests bit-identical by
  *    assertion;
  *  - platform: the fig06-style reference workload (full-scale 9-port
- *    ro GUPS), events, wall ms and ns/event (reported, not guarded).
+ *    ro GUPS), events, wall ms and ns/event (reported, not guarded),
+ *    plus the requests it completed and events per request: a cost
+ *    count that host noise cannot move.
  *
  * Both A/Bs run interleaved pairs, alternating which side goes first,
  * and read the median of the per-pair ratios with its p25/p75.
@@ -150,7 +152,7 @@ constexpr unsigned chainCount = 64;
  * Pending-heavy drain: preload @p n events at scattered ticks, then
  * pop them all. Exercises pure scheduling-structure cost at ~870x
  * the deepest queue a simulator run was measured to keep (1,155
- * pending, docs/performance.md): it shows how the heap scales, not
+ * pending, docs/performance.md): it shows how the runs scale, not
  * what a run pays.
  */
 std::uint64_t
@@ -289,6 +291,9 @@ struct SimcoreResults
     double drainMs = 0.0;
     double chainMs = 0.0;
     std::uint64_t platformEvents = 0;
+    /** Requests the platform run completed: with platformEvents, a
+     *  deterministic cost per request that host noise cannot move. */
+    std::uint64_t platformRequests = 0;
     double platformWallMs = 0.0;
     double platformSimUs = 0.0;
     PairedRace decode;
@@ -306,6 +311,13 @@ double
 nsPerEvent(std::uint64_t events, double ms)
 {
     return ms * 1e6 / static_cast<double>(events);
+}
+
+double
+eventsPerRequest(const SimcoreResults &r)
+{
+    return static_cast<double>(r.platformEvents) /
+           static_cast<double>(r.platformRequests);
 }
 
 const SimcoreResults &
@@ -332,6 +344,8 @@ results()
             module.start();
             module.runUntil(window);
             out.platformEvents = module.queue().executed();
+            const GupsPortStats done = module.aggregateStats();
+            out.platformRequests = done.readsCompleted + done.writesCompleted;
         });
 
         const AddressMapper mapper(HmcConfig::gen2_4GB(),
@@ -407,12 +421,14 @@ printFigure()
 
     std::printf("\nPlatform (fig06-style, 9-port ro, %.0f us sim, median "
                 "of 7): %llu events in %.1f ms = %.1fM events/s "
-                "(%.1f ns/event)\n\n",
+                "(%.1f ns/event), %llu requests (%.3f events/request)\n\n",
                 r.platformSimUs,
                 static_cast<unsigned long long>(r.platformEvents),
                 r.platformWallMs,
                 eventsPerSec(r.platformEvents, r.platformWallMs) / 1e6,
-                nsPerEvent(r.platformEvents, r.platformWallMs));
+                nsPerEvent(r.platformEvents, r.platformWallMs),
+                static_cast<unsigned long long>(r.platformRequests),
+                eventsPerRequest(r));
 }
 
 void
@@ -469,10 +485,13 @@ writeJson()
         f,
         "  \"platform\": {\"workload\": \"fig06-style 9-port ro "
         "random 200us\", \"events\": %llu, \"wall_ms\": %.3f, "
-        "\"events_per_sec\": %.0f, \"ns_per_event\": %.2f}\n",
+        "\"events_per_sec\": %.0f, \"ns_per_event\": %.2f, "
+        "\"requests\": %llu, \"events_per_request\": %.4f}\n",
         static_cast<unsigned long long>(r.platformEvents),
         r.platformWallMs, eventsPerSec(r.platformEvents, r.platformWallMs),
-        nsPerEvent(r.platformEvents, r.platformWallMs));
+        nsPerEvent(r.platformEvents, r.platformWallMs),
+        static_cast<unsigned long long>(r.platformRequests),
+        eventsPerRequest(r));
     std::fprintf(f, "}\n");
     std::fclose(f);
     std::printf("wrote %s\n\n", path);

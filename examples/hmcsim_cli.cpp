@@ -312,6 +312,10 @@ reportSelfCheck(ExperimentConfig cfg)
                 r.numStats,
                 static_cast<unsigned long long>(r.digestFirst),
                 static_cast<unsigned long long>(r.digestSecond));
+    std::printf("timeline     : %llu packets, digests %016llx / %016llx\n",
+                static_cast<unsigned long long>(r.numPackets),
+                static_cast<unsigned long long>(r.timelineFirst),
+                static_cast<unsigned long long>(r.timelineSecond));
     if (r.identical()) {
         std::printf("determinism  : ok (runs bit-identical)\n");
         return 0;

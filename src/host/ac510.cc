@@ -100,11 +100,6 @@ Ac510Module::registerStats(StatRegistry &registry,
     for (unsigned i = 0; i < ports.size(); ++i)
         ports[i]->registerStats(registry,
                                 path / ("port" + std::to_string(i)));
-    // Only an attached tracer contributes stats, so a tracing-off run
-    // registers the same set as before tracing existed and its digest
-    // is unchanged (tested in tests/test_tracing.cc).
-    if (cfg.tracer)
-        cfg.tracer->registerStats(registry, path / "trace");
 }
 
 std::unique_ptr<Ac510Module>

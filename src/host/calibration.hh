@@ -80,12 +80,15 @@ struct ControllerCalibration
      */
     unsigned inputBufferFlits = 0;
 
-    /** Fixed TX pipeline latency in ticks (stages 2-8). */
+    /** Fixed TX pipeline latency in ticks (stages 2-8). The cycle
+     *  counts are summed as ticks, so four 32-bit counts cannot wrap;
+     *  calibrationError() bounds them so the product fits. */
     Tick
     txFixedLatency() const
     {
-        return fpgaCyclePs * (flitsToParallelCycles + arbiterCycles +
-                              seqFlowCrcCycles + serdesConvertCycles);
+        return fpgaCyclePs *
+               (Tick{flitsToParallelCycles} + arbiterCycles +
+                seqFlowCrcCycles + serdesConvertCycles);
     }
 
     /** Fixed RX pipeline latency in ticks. */

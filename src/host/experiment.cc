@@ -124,8 +124,14 @@ runExperiment(const ExperimentConfig &cfg, const RunOptions &opts,
 
     Ac510Module module(sys);
     StatRegistry registry;
-    if (artifacts)
+    if (artifacts) {
         module.registerStats(registry, StatPath("system"));
+        // Only an attached tracer contributes stats, so a tracing-off
+        // run registers the same set as before tracing existed and its
+        // digest is unchanged (tested in tests/test_tracing.cc).
+        if (tracer)
+            tracer->registerStats(registry, StatPath("system") / "trace");
+    }
     module.start();
     module.runUntil(cfg.warmup);
     module.resetPortStats();
@@ -205,23 +211,50 @@ runSelfCheck(const ExperimentConfig &cfg)
 {
     struct Run
     {
-        std::uint64_t digest;
+        std::uint64_t digest = 0;
         std::vector<std::pair<std::string, double>> values;
+        TimelineDigest timeline;
     };
 
-    const auto once = [&cfg]() -> Run {
-        Ac510Module module(makeSystemConfig(cfg));
-        StatRegistry registry;
-        module.registerStats(registry, StatPath("system"));
-        module.start();
-        module.runUntil(cfg.warmup);
-        module.resetPortStats();
-        module.runUntil(cfg.warmup + cfg.measure);
+    // Same-tick contention: rw at 16 B is the highest packet rate,
+    // with dependent writes and fresh reads racing for each tick, so
+    // most ticks carry several events and an event-order change moves
+    // some packet's stamps.
+    ExperimentConfig contention = cfg;
+    contention.mix = RequestMix::ReadModifyWrite;
+    contention.requestSize = 16;
 
+    // One run of @p c that feeds every completed packet, warm-up
+    // included, to @p run's timeline; with @p stats it also records
+    // the system's stats into @p run. The tracer's own stats stay out
+    // of the registry, so the stat digest is an untraced run's.
+    const auto simulate = [](const ExperimentConfig &c, Run &run,
+                             bool stats) {
+        TraceConfig trace;
+        trace.enabled = true;
+        trace.sink = &run.timeline;
+        PacketTracer tracer(trace);
+        Ac510Config sys = makeSystemConfig(c);
+        sys.tracer = &tracer;
+        Ac510Module module(sys);
+        StatRegistry registry;
+        if (stats)
+            module.registerStats(registry, StatPath("system"));
+        module.start();
+        module.runUntil(c.warmup);
+        module.resetPortStats();
+        module.runUntil(c.warmup + c.measure);
+        if (stats) {
+            run.digest = registry.digest();
+            for (const StatEntry *entry : registry.matching(""))
+                run.values.emplace_back(entry->name, entry->value());
+        }
+    };
+
+    const auto once = [&]() -> Run {
         Run run;
-        run.digest = registry.digest();
-        for (const StatEntry *entry : registry.matching(""))
-            run.values.emplace_back(entry->name, entry->value());
+        simulate(cfg, run, true);
+        simulate(contention, run, false);
         return run;
     };
 
@@ -232,6 +265,9 @@ runSelfCheck(const ExperimentConfig &cfg)
     res.digestFirst = first.digest;
     res.digestSecond = second.digest;
     res.numStats = first.values.size();
+    res.timelineFirst = first.timeline.value();
+    res.timelineSecond = second.timeline.value();
+    res.numPackets = first.timeline.packets();
     if (!res.identical()) {
         for (std::size_t i = 0;
              i < first.values.size() && i < second.values.size(); ++i) {
@@ -246,7 +282,9 @@ runSelfCheck(const ExperimentConfig &cfg)
             }
         }
         if (res.firstMismatch.empty())
-            res.firstMismatch = "<registry structure differs>";
+            res.firstMismatch = res.digestFirst == res.digestSecond
+                                    ? "<packet timeline differs>"
+                                    : "<registry structure differs>";
     }
     return res;
 }

@@ -199,9 +199,21 @@ struct SelfCheckResult
     std::uint64_t digestSecond = 0;
     /** Statistics registered (identical structure both runs). */
     std::size_t numStats = 0;
+    /** Packet-timeline digest (TimelineDigest, trace/trace_sink.hh)
+     *  of each pass: the configured run, then its same-tick
+     *  contention variant (rw, 16 B), warm-ups included. */
+    std::uint64_t timelineFirst = 0;
+    std::uint64_t timelineSecond = 0;
+    /** Packets the first pass's timeline covers. */
+    std::uint64_t numPackets = 0;
     /** Name of the first statistic whose value differed, if any. */
     std::string firstMismatch;
-    bool identical() const { return digestFirst == digestSecond; }
+    bool
+    identical() const
+    {
+        return digestFirst == digestSecond &&
+               timelineFirst == timelineSecond;
+    }
 };
 
 /**
@@ -211,6 +223,10 @@ struct SelfCheckResult
  * nondeterminism that sanitizers and the invariant checkers miss --
  * a simulation whose result depends on allocator layout produces
  * different digests here long before anyone notices a wobbly figure.
+ * Each pass also runs @p cfg at rw and 16 B, where same-tick events
+ * contend, and compares packet-timeline digests over both runs: they
+ * pin the order and ticks at which packets move, which the aggregate
+ * counters do not.
  */
 SelfCheckResult runSelfCheck(const ExperimentConfig &cfg);
 

@@ -21,6 +21,21 @@ calibrationError(const ControllerCalibration &cal)
     // The fixed pipeline latencies multiply it by 32-bit cycle counts.
     if (cal.fpgaCyclePs >= (Tick{1} << 32))
         return "controller.fpgaCyclePs must be below 2^32 ps";
+    // The TX latency multiplies it by the sum of four cycle counts:
+    // each below 2^30 keeps that product below 2^64.
+    for (const auto &[cycles, why] : {
+             std::pair{cal.flitsToParallelCycles,
+                       "controller.flitsToParallelCycles must be below "
+                       "2^30"},
+             std::pair{cal.arbiterCycles,
+                       "controller.arbiterCycles must be below 2^30"},
+             std::pair{cal.seqFlowCrcCycles,
+                       "controller.seqFlowCrcCycles must be below 2^30"},
+             std::pair{cal.serdesConvertCycles,
+                       "controller.serdesConvertCycles must be below "
+                       "2^30"}})
+        if (cycles >= (1u << 30))
+            return why;
     if (!validRate(cal.txBytesPerSecondPerLink))
         return "controller.txBytesPerSecondPerLink must be positive";
     if (!validRate(cal.rxBytesPerSecondPerLink))

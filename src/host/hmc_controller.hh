@@ -57,8 +57,10 @@ struct ControllerStats
  * Why no controller can be built from @p cal: no link, more links than
  * the 8-bit packet link field addresses, an FPGA cycle of 2^32 ps or
  * more (the fixed pipeline latencies multiply it by 32-bit cycle
- * counts), or a TX/RX link rate that is not validRate(). Names the
- * field by its wire key; null when it can.
+ * counts), a TX pipeline cycle count of 2^30 or more (the TX latency
+ * multiplies the cycle by the sum of four), or a TX/RX link rate that
+ * is not validRate(). Names the field by its wire key; null when it
+ * can.
  * HmcController fatal()s on it and validateExperimentConfig() refuses
  * it.
  */

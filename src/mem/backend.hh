@@ -189,12 +189,14 @@ class MemoryBackend
  * Why no storage engine can be built behind a vault with
  * @p vault_timings and @p cfg: a zero beat or row size (the engines
  * divide by them), a beat time of 2^32 ps or more (a 32-bit beat count
- * times it must fit a tick), for the NVM engine a write queue deeper
+ * times it must fit a tick), any other timing of 2^40 ps or more (the
+ * banks add them to ticks), for the NVM engine a write queue deeper
  * than 1024 (every bank allocates it up front), or, for the DDR4
- * engine, its own beat size or time of 2^32 or more, a bus rate that
- * is not validRate() or no activates per tFAW. Names the field by its
- * wire key; null when the engine can be built. makeMemoryBackend()
- * fatal()s on it and validateExperimentConfig() refuses it.
+ * engine, its own beat size or time of 2^32 or more, its own timings
+ * past the same 2^40 ps bound, a bus rate that is not validRate() or
+ * no activates per tFAW. Names the field by its wire key; null when
+ * the engine can be built. makeMemoryBackend() fatal()s on it and
+ * validateExperimentConfig() refuses it.
  */
 const char *backendConfigError(const DramTimings &vault_timings,
                                const MemoryBackendConfig &cfg);

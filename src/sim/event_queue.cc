@@ -42,45 +42,127 @@ EventQueue::schedule(Tick when, Event ev)
         nowLane.push_back(key);
         return;
     }
-    heap.push_back({});
-    siftUp(heap.size() - 1, key);
+    const std::uint32_t run = firstRunFor(when);
+    if (run == runs.size()) {
+        const std::uint32_t chunk = takeChunk() * chunkKeys;
+        runs.push_back({chunk, chunk, 0});
+        tails.push_back(when);
+    } else {
+        tails[run] = when;
+    }
+    if (runs[run].size == 0) {
+        heads.push_back({});
+        siftHeadUp(heads.size() - 1, {key, run});
+    }
+    push(runs[run], key);
+    ++numQueued;
+}
+
+inline void
+EventQueue::push(Run &run, const Key &key)
+{
+    // A non-empty run's tail sits on a chunk boundary only when its
+    // last chunk is full; an empty one's sits at its chunk's start.
+    if (run.tail % chunkKeys == 0 && run.size != 0) {
+        const std::uint32_t chunk = takeChunk();
+        nextChunk[run.tail / chunkKeys - 1] = chunk;
+        run.tail = chunk * chunkKeys;
+    }
+    pool[run.tail++] = key;
+    ++run.size;
+}
+
+inline void
+EventQueue::pop(Run &run)
+{
+    ++run.head;
+    if (--run.size == 0) {
+        // Keep the last chunk: runs empty and refill all the time.
+        run.head = run.tail = (run.head - 1) / chunkKeys * chunkKeys;
+    } else if (run.head % chunkKeys == 0) {
+        const std::uint32_t done = run.head / chunkKeys - 1;
+        freeChunks.push_back(done);
+        run.head = nextChunk[done] * chunkKeys;
+    }
+}
+
+std::uint32_t
+EventQueue::takeChunk()
+{
+    if (freeChunks.empty()) {
+        nextChunk.push_back(0);
+        pool.resize(pool.size() + chunkKeys);
+        return static_cast<std::uint32_t>(nextChunk.size() - 1);
+    }
+    const std::uint32_t chunk = freeChunks.back();
+    freeChunks.pop_back();
+    return chunk;
+}
+
+std::uint32_t
+EventQueue::firstRunFor(Tick when) const
+{
+    // The first run whose tail does not follow @p when: tails are
+    // non-increasing, so that is the latest tail the key can extend,
+    // and the tails stay non-increasing after it does. Branch-free
+    // binary search: which run a key lands in is a coin flip.
+    if (tails.empty())
+        return 0;
+    const Tick *base = tails.data();
+    for (std::size_t n = tails.size(); n > 1;) {
+        const std::size_t half = n / 2;
+        base += (base[half - 1] > when) * half;
+        n -= half;
+    }
+    return static_cast<std::uint32_t>(base - tails.data()) +
+           (*base > when);
 }
 
 void
-EventQueue::siftUp(std::size_t hole, const Key &key)
+EventQueue::siftHeadUp(std::size_t hole, const Head &head)
 {
     while (hole > 0) {
         const std::size_t parent = (hole - 1) / 2;
-        if (!firesBefore(key, heap[parent]))
+        if (!firesBefore(head.key, heads[parent].key))
             break;
-        heap[hole] = heap[parent];
+        heads[hole] = heads[parent];
         hole = parent;
     }
-    heap[hole] = key;
+    heads[hole] = head;
 }
 
-EventQueue::Key
-EventQueue::popHeap()
+void
+EventQueue::siftHeadDown(std::size_t hole, const Head &head)
 {
-    const Key top = heap.front();
-    const Key last = heap.back();
-    heap.pop_back();
-    if (!heap.empty()) {
-        // Bottom-up sift-down: walk the root hole to a leaf along the
-        // earlier child (one branch-free compare per level), then
-        // re-insert the former last key from there. It came from the
-        // bottom, so it rarely climbs far; the classic sift-down would
-        // pay an unpredictable branch per level to stop it early.
-        const std::size_t n = heap.size();
-        std::size_t hole = 0;
-        for (std::size_t c = 1; c < n; c = 2 * hole + 1) {
-            c += c + 1 < n && firesBefore(heap[c + 1], heap[c]);
-            heap[hole] = heap[c];
-            hole = c;
-        }
-        siftUp(hole, last);
+    const std::size_t n = heads.size();
+    for (std::size_t c = 2 * hole + 1; c < n; c = 2 * hole + 1) {
+        c += c + 1 < n && firesBefore(heads[c + 1].key, heads[c].key);
+        if (!firesBefore(heads[c].key, head.key))
+            break;
+        heads[hole] = heads[c];
+        hole = c;
     }
-    return top;
+    heads[hole] = head;
+}
+
+inline EventQueue::Key
+EventQueue::popRuns()
+{
+    const Head top = heads.front();
+    Run &run = runs[top.run];
+    pop(run);
+    --numQueued;
+    if (run.size != 0) {
+        // The run's next key is usually still the earliest, so this
+        // mostly stops at the first level.
+        siftHeadDown(0, {pool[run.head], top.run});
+    } else {
+        const Head last = heads.back();
+        heads.pop_back();
+        if (!heads.empty())
+            siftHeadDown(0, last);
+    }
+    return top.key;
 }
 
 void
@@ -94,7 +176,7 @@ EventQueue::executeTop()
             nowHead = 0;
         }
     } else {
-        top = popHeap();
+        top = popRuns();
     }
 
     // Free the slot before invoking: the callback may schedule into it.
@@ -129,7 +211,7 @@ Tick
 EventQueue::runUntil(Tick limit)
 {
     while (laneFirst() ? _now <= limit
-                       : !heap.empty() && heap.front().when <= limit)
+                       : !heads.empty() && heads.front().key.when <= limit)
         executeTop();
     if (_now < limit)
         _now = limit;
@@ -174,8 +256,14 @@ EventQueue::pendingSnapshot() const
         views.push_back({key.when, key.order >> slotBits,
                          &slab[key.order & slotMask]});
     };
-    for (const Key &key : heap)
-        view(key);
+    for (const Run &run : runs) {
+        std::uint32_t at = run.head;
+        for (std::uint32_t n = 0; n < run.size; ++n) {
+            view(pool[at++]);
+            if (at % chunkKeys == 0 && n + 1 < run.size)
+                at = nextChunk[at / chunkKeys - 1] * chunkKeys;
+        }
+    }
     for (std::size_t i = nowHead; i < nowLane.size(); ++i)
         view(nowLane[i]);
     std::sort(views.begin(), views.end(),
@@ -217,7 +305,13 @@ EventQueue::restoreFinish(std::uint64_t next_seq,
 void
 EventQueue::reset()
 {
-    heap.clear();
+    runs.clear();
+    tails.clear();
+    heads.clear();
+    numQueued = 0;
+    pool.clear();
+    nextChunk.clear();
+    freeChunks.clear();
     nowLane.clear();
     nowHead = 0;
     slab.clear();

@@ -8,15 +8,20 @@
  * in scheduling order (FIFO), which keeps component pipelines
  * deterministic.
  *
- * Internally the queue is one binary min-heap of 16-byte (when,
- * seq|slot) keys, plus a FIFO lane for events scheduled at the current
- * tick, which need no sifting. The Events themselves sit in a slab of
- * reusable slots, so sifting moves keys, never 64-byte callables. The
- * heap is sized to the real traffic: even the paper's high-load round
- * trips keep only ~1.2k events pending (docs/performance.md). Events
- * are hmcsim::Event (sim/event.hh): fixed-size, inline-capture
- * callables, so once the heap, lane and slab reach their working
- * depth the schedule/fire path performs no heap allocation at all.
+ * Internally the queue is a merge of a few sorted runs of 16-byte
+ * (when, seq|slot) keys, plus a FIFO lane for events scheduled at the
+ * current tick. Components schedule at a fixed delay per source, so
+ * the pending set splits into a handful of runs that only ever grow at
+ * the tail: the paper's high-load round trips keep ~1.2k events pending
+ * in about a dozen runs (docs/performance.md). A schedule appends to
+ * the first run whose tail it does not precede; a pop takes the
+ * earliest run head from a small heap of heads. The runs' keys share
+ * one pool of 256-byte chunks, so memory follows the pending count.
+ * The Events themselves sit in a slab of reusable slots, so the runs
+ * move keys, never 64-byte callables. Events are hmcsim::Event (sim/event.hh): fixed-size,
+ * inline-capture callables, so once the runs, lane and slab reach
+ * their working depth the schedule/fire path performs no heap
+ * allocation at all.
  */
 
 #ifndef HMCSIM_SIM_EVENT_QUEUE_HH
@@ -52,7 +57,7 @@ class EventQueue
     std::size_t
     pending() const
     {
-        return heap.size() + (nowLane.size() - nowHead);
+        return numQueued + (nowLane.size() - nowHead);
     }
 
     /** Total number of events ever executed. */
@@ -150,7 +155,7 @@ class EventQueue
     static constexpr std::uint64_t slotMask =
         (std::uint64_t{1} << slotBits) - 1;
 
-    /** Heap key, 16 bytes so four share a cache line. Firing order is
+    /** Run key, 16 bytes so four share a cache line. Firing order is
      *  (when, seq); `order` holds seq above the slot that indexes
      *  `slab`, and seqs are unique, so (when, order) is that order. */
     struct Key
@@ -160,7 +165,7 @@ class EventQueue
     };
 
     /** (when, order) as one 128-bit compare: branch-free, which
-     *  matters because sift decisions are data-dependent coin flips. */
+     *  matters because which run head fires next is a coin flip. */
     static bool
     firesBefore(const Key &a, const Key &b)
     {
@@ -168,20 +173,59 @@ class EventQueue
                ((unsigned __int128){b.when} << 64 | b.order);
     }
 
-    /** Fill the hole at heap[@p hole] with @p key, moving parents down
-     *  until the key fits. */
-    void siftUp(std::size_t hole, const Key &key);
+    /** Keys per chunk of the key pool (256 B). */
+    static constexpr std::uint32_t chunkKeys = 16;
 
-    /** Remove and return the heap's earliest key. */
-    Key popHeap();
+    /** One sorted run: a FIFO of keys in a chain of pool chunks. Keys
+     *  enter at the tail in (when, seq) order, so the front is the
+     *  run's earliest. A run always holds at least one chunk. */
+    struct Run
+    {
+        /** Pool index of the front key. */
+        std::uint32_t head = 0;
+        /** Pool index one past the back key. */
+        std::uint32_t tail = 0;
+        std::uint32_t size = 0;
+    };
 
-    /** True when the next event is the now-lane's front: the heap
-     *  holds nothing at the current tick, and the lane is not empty. */
+    /** A non-empty run's front key, inline so the heads heap compares
+     *  without touching the run. */
+    struct Head
+    {
+        Key key;
+        std::uint32_t run;
+    };
+
+    /** Append @p key to @p run, taking a chunk when its last is full.
+     *  Inline, like pop(): the schedule and fire paths. */
+    inline void push(Run &run, const Key &key);
+
+    /** Drop @p run's front key, returning emptied chunks to the pool. */
+    inline void pop(Run &run);
+
+    /** A free chunk's index, growing the pool when none is free. */
+    std::uint32_t takeChunk();
+
+    /** Index of the run a key at @p when goes to; runs.size() when
+     *  every run's tail follows it, and a new run must open. */
+    std::uint32_t firstRunFor(Tick when) const;
+
+    /** Fill the hole at heads[@p hole] with @p head, moving entries
+     *  down (siftHeadUp) or up (siftHeadDown) until it fits. */
+    void siftHeadUp(std::size_t hole, const Head &head);
+    void siftHeadDown(std::size_t hole, const Head &head);
+
+    /** Remove and return the earliest key of the runs. Inline, so it
+     *  folds into executeTop, its only caller. */
+    inline Key popRuns();
+
+    /** True when the next event is the now-lane's front: the runs
+     *  hold nothing at the current tick, and the lane is not empty. */
     bool
     laneFirst() const
     {
         return nowHead < nowLane.size() &&
-               (heap.empty() || heap.front().when > _now);
+               (heads.empty() || heads.front().key.when > _now);
     }
 
     /** Pop the earliest event and run it at its tick. */
@@ -190,14 +234,31 @@ class EventQueue
     /** Run attached checkers at a drain point. */
     void runCheckers();
 
-    /** Binary min-heap by firesBefore of the events scheduled for a
-     *  later tick than the one they were scheduled at; heap[0] is the
-     *  earliest. */
-    std::vector<Key> heap;
+    /** Sorted runs of the events scheduled for a later tick than the
+     *  one they were scheduled at. */
+    std::vector<Run> runs;
+    /** Each run's last-appended tick, non-increasing with the run
+     *  index: a key goes to the first run whose tail is <= its tick
+     *  (patience sorting, so no online rule uses fewer runs). An
+     *  emptied run keeps its tail, which is then behind now(), so it
+     *  is reused before any new run opens. */
+    std::vector<Tick> tails;
+    /** Binary min-heap by firesBefore of the non-empty runs' fronts;
+     *  heads[0] is the earliest pending key of all runs. */
+    std::vector<Head> heads;
+    /** Keys held by all runs. */
+    std::size_t numQueued = 0;
+    /** The runs' keys, in chunks of chunkKeys shared by all runs, so
+     *  the pool holds about the pending keys, not each run's peak. */
+    std::vector<Key> pool;
+    /** Per chunk, the next chunk of the run it belongs to. */
+    std::vector<std::uint32_t> nextChunk;
+    /** Chunks free for reuse. */
+    std::vector<std::uint32_t> freeChunks;
     /** Events scheduled for the tick they were scheduled at, in seq
-     *  order from nowHead on. They fire after every heap entry of
-     *  that tick (those were scheduled earlier, so carry lower seqs)
-     *  and need no sifting; a fifth of a loaded run's schedules. */
+     *  order from nowHead on. They fire after every run entry of that
+     *  tick (those were scheduled earlier, so carry lower seqs) and
+     *  need no run; a fifth of the schedules under load. */
     std::vector<Key> nowLane;
     std::size_t nowHead = 0;
     /** Pending callables, addressed by Key::slot. */

@@ -58,6 +58,16 @@ ChromeTraceBuffer::packet(const Packet &pkt)
     }
 }
 
+void
+TimelineDigest::packet(const Packet &pkt)
+{
+    for (const std::uint64_t v :
+         {pkt.id, pkt.tIssued, pkt.tLinkTx, pkt.tVaultArrive,
+          pkt.tBankStart, pkt.tDramDone, pkt.tResponse})
+        hash.u64(v);
+    ++numPackets;
+}
+
 std::string
 ChromeTraceBuffer::takeEvents()
 {

@@ -24,6 +24,7 @@
 #include <string>
 
 #include "protocol/packet.hh"
+#include "sim/fnv1a.hh"
 
 namespace hmcsim
 {
@@ -66,6 +67,31 @@ class ChromeTraceBuffer final : public PacketTraceSink
 
   private:
     std::string buf;
+};
+
+/**
+ * Packet-timeline digest: folds each packet's id and its six lifecycle
+ * stamps (tIssued ... tResponse), in the order packets complete, into
+ * an FNV-1a digest. Two runs agree only if every packet took the same
+ * path at the same ticks, so it sees event reorderings that leave the
+ * aggregate counters (StatRegistry::digest) unchanged. It keeps the
+ * warm-up's packets (reset() is a no-op), so one digest can span
+ * several runs; the determinism self-check feeds it every packet
+ * (runSelfCheck).
+ */
+class TimelineDigest final : public PacketTraceSink
+{
+  public:
+    void packet(const Packet &pkt) override;
+
+    std::uint64_t value() const { return hash.value(); }
+
+    /** Packets folded in. */
+    std::uint64_t packets() const { return numPackets; }
+
+  private:
+    Fnv1a hash;
+    std::uint64_t numPackets = 0;
 };
 
 /**

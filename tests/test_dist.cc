@@ -249,6 +249,9 @@ const UnbuildableField kUnbuildableFields[] = {
     {"controller.fpgaCyclePs", "18446744073709551615"},
     {"backend.ddrTimings.beatBytes", "18446744073709551615"},
     {"backend.nvmWriteQueueDepth", "4294967295", BackendKind::Nvm},
+    {"controller.flitsToParallelCycles", "4294967295"},
+    {"vault.timings.tRcd", "18446744073709551615", BackendKind::HmcDram},
+    {"backend.ddrTimings.tRcd", "18446744073709551615"},
 };
 
 /** A config decoded from a frame with @p key set to @p value, over a

@@ -3,13 +3,15 @@
  * Tests for the event queue and the allocation-free event core
  * (docs/performance.md): same-tick FIFO for near and far schedules,
  * runUntil boundary semantics, reset, checker drain-point cadence,
- * far-future ordering, snapshot cloning, Event small-buffer
- * semantics, packet-pool reuse, and an allocation-counting guard
- * over the steady-state scheduling path.
+ * far-future ordering, snapshot cloning, the sorted-run structure
+ * against a (when, seq) sort, Event small-buffer semantics,
+ * packet-pool reuse, and an allocation-counting guard over the
+ * steady-state scheduling path.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 
 // GCC pairs the replaced operator new with the library operator
@@ -21,6 +23,7 @@
 #include <functional>
 #include <memory>
 #include <new>
+#include <numeric>
 #include <vector>
 
 #include "protocol/packet_pool.hh"
@@ -91,7 +94,7 @@ TEST(EventQueue, SameTickFifoAcrossManyEvents)
     EventQueue q;
     std::vector<int> order;
     // Same tick, many entries: they must pop in seq order however the
-    // heap shuffles their keys.
+    // queue stores their keys.
     for (int i = 0; i < 1000; ++i)
         q.schedule(5000, [&order, i] { order.push_back(i); });
     q.runToCompletion();
@@ -325,6 +328,153 @@ TEST(EventQueue, ClonedQueueFiresTheSameSequence)
     EXPECT_EQ(dst.executed(), src.executed());
 }
 
+// ---------------------------------------------------------------------
+// Sorted runs: every order below is the (when, seq) order, whichever
+// runs the keys land in.
+// ---------------------------------------------------------------------
+
+/** Ids 0..n-1 of schedules at @p when[id], in the order a queue that
+ *  fires by (when, seq) must run them; ids were scheduled in id order,
+ *  so seq order is id order. */
+std::vector<int>
+firingOrder(const std::vector<Tick> &when)
+{
+    std::vector<int> ids(when.size());
+    std::iota(ids.begin(), ids.end(), 0);
+    std::stable_sort(ids.begin(), ids.end(),
+                     [&when](int a, int b) { return when[a] < when[b]; });
+    return ids;
+}
+
+TEST(EventQueue, StrictlyDecreasingSchedulesFireInOrder)
+{
+    // Each key precedes every run's tail, so each opens its own run.
+    EventQueue q;
+    std::vector<int> order;
+    std::vector<Tick> when;
+    for (int i = 0; i < 300; ++i) {
+        when.push_back(Tick(1000 - i));
+        q.schedule(when.back(), LogFire{&order, i});
+    }
+    q.runToCompletion();
+    EXPECT_EQ(order, firingOrder(when));
+}
+
+TEST(EventQueue, ScatteredPreloadMatchesSortedOrder)
+{
+    // 10^5 keys over 2^16 ticks: hundreds of runs, and many equal
+    // ticks that only seq orders.
+    EventQueue q;
+    std::vector<int> order;
+    std::vector<Tick> when;
+    std::uint64_t x = 1;
+    for (int i = 0; i < 100000; ++i) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        when.push_back(1 + (x >> 48));
+        q.schedule(when.back(), LogFire{&order, i});
+    }
+    EXPECT_EQ(q.pending(), when.size());
+    q.runToCompletion();
+    EXPECT_EQ(order, firingOrder(when));
+}
+
+TEST(EventQueue, RunsThatEmptyAndRefillMidDrainKeepOrder)
+{
+    EventQueue q;
+    std::vector<int> order;
+    std::vector<Tick> when;
+    const auto at = [&](Tick t) {
+        when.push_back(t);
+        q.schedule(t, LogFire{&order, static_cast<int>(when.size() - 1)});
+    };
+    // Two runs; the second (tail 50) empties at 50, and by 80 its tail
+    // is behind now(), yet it takes the next keys that fit it before a
+    // third run opens for 85.
+    at(100);
+    at(50);
+    at(200);
+    EXPECT_EQ(q.runUntil(80), 80u);
+    at(90);
+    at(95);
+    at(85);
+    q.runToCompletion();
+    EXPECT_EQ(order, firingOrder(when));
+    EXPECT_EQ(order, (std::vector<int>{1, 5, 3, 4, 0, 2}));
+
+    // Callbacks schedule follow-ups at three delays with jitter while
+    // at most about eight keys are pending, so runs drain, empty and
+    // refill all through the drain.
+    struct Refill
+    {
+        EventQueue *q;
+        std::vector<Tick> *when;
+        std::vector<int> *order;
+        int id;
+
+        void
+        operator()() const
+        {
+            order->push_back(id);
+            if (when->size() >= 20000)
+                return;
+            const std::uint64_t h = std::uint64_t(id) * 0x9E3779B97F4A7C15ULL;
+            static constexpr Tick delays[] = {3, 10, 40};
+            const unsigned n = q->pending() < 8 && h >> 63 ? 2 : 1;
+            for (unsigned k = 0; k < n; ++k) {
+                when->push_back(q->now() + delays[(h >> (20 + k)) % 3] +
+                                (h >> (30 + 4 * k)) % 5);
+                q->schedule(when->back(),
+                            Refill{q, when, order,
+                                   static_cast<int>(when->size() - 1)});
+            }
+        }
+    };
+    order.clear();
+    when.clear();
+    q.reset();
+    for (int i = 0; i < 3; ++i) {
+        when.push_back(Tick(1 + 7 * i));
+        q.schedule(when.back(), Refill{&q, &when, &order, i});
+    }
+    q.runToCompletion();
+    ASSERT_GE(when.size(), 20000u);
+    EXPECT_EQ(order, firingOrder(when));
+}
+
+TEST(EventQueue, ClonedQueueWithSeveralRunsFiresTheSameSequence)
+{
+    // A permutation of 30 ticks lands in several runs; drain a few,
+    // fork, and schedule the same keys into both worlds.
+    std::vector<int> srcLog;
+    std::vector<int> dstLog;
+    std::vector<Tick> when;
+    EventQueue src;
+    for (int i = 0; i < 30; ++i) {
+        when.push_back(100 + Tick((i * 7) % 30) * 10);
+        src.schedule(when.back(), LogFire{&srcLog, i});
+    }
+    for (int i = 0; i < 7; ++i)
+        ASSERT_TRUE(src.step());
+
+    SnapshotFixup fixup;
+    fixup.mapObject(&srcLog, &dstLog);
+    EventQueue dst;
+    cloneEventQueue(src, dst, fixup,
+                    {makeEventRelocator<LogFire>("LogFire")});
+    EXPECT_EQ(dst.pending(), src.pending());
+    for (const Tick t : {Tick{395}, Tick{175}, Tick{385}, Tick{175}}) {
+        when.push_back(t);
+        const int id = static_cast<int>(when.size() - 1);
+        src.schedule(t, LogFire{&srcLog, id});
+        dst.schedule(t, LogFire{&dstLog, id});
+    }
+    src.runToCompletion();
+    dst.runToCompletion();
+    // The 7 fired before the fork are the earliest of all 34 keys.
+    EXPECT_EQ(srcLog, firingOrder(when));
+    EXPECT_EQ(dstLog, std::vector<int>(srcLog.begin() + 7, srcLog.end()));
+}
+
 TEST(SboEvent, NonTrivialCapturesDestructOnce)
 {
     auto token = std::make_shared<int>(7);
@@ -416,7 +566,7 @@ TEST(AllocationGuard, SteadyStateEventLoopIsAllocationFree)
 {
     EventQueue q;
     // 64 interleaved self-scheduling chains, mimicking the port/vault
-    // pipelines: warm 2 us so the heap, the slab and its free list
+    // pipelines: warm 2 us so the runs, the slab and its free list
     // reach their steady capacity...
     std::uint64_t executed = 0;
     struct Chain

@@ -25,6 +25,20 @@ TEST(Calibration, FixedLatenciesMatchPaperFigure14)
     EXPECT_NEAR(ticksToNs(cal.rxFixedLatency()), 160.0, 1.0);
 }
 
+TEST(Calibration, TxFixedLatencySumsCyclesAsTicks)
+{
+    // Four 32-bit cycle counts summed in 32 bits would wrap here.
+    ControllerCalibration cal;
+    cal.flitsToParallelCycles = 0xFFFFFFFFu;
+    EXPECT_EQ(cal.txFixedLatency(), Tick{5333} * (Tick{0xFFFFFFFFu} + 24));
+    // The largest counts calibrationError() accepts still fit a tick.
+    cal.flitsToParallelCycles = cal.arbiterCycles = cal.seqFlowCrcCycles =
+        cal.serdesConvertCycles = (1u << 30) - 1;
+    cal.fpgaCyclePs = (Tick{1} << 32) - 1;
+    EXPECT_EQ(calibrationError(cal), nullptr);
+    EXPECT_EQ(cal.txFixedLatency() / cal.fpgaCyclePs, (Tick{1} << 32) - 4);
+}
+
 TEST(Calibration, LinkConfigsDerateTheRawRate)
 {
     const ControllerCalibration cal;
