@@ -1,14 +1,12 @@
 // lint:file(hot-path) -- event-core file: allocation-free callables (no std::function) and HMCSIM_DCHECK-only invariants, enforced by hmcsim-lint.
 #include "gups/gups_port.hh"
 
-#include <algorithm>
 #include <memory>
 #include <sstream>
 #include <utility>
 
 #include "sim/check.hh"
 #include "sim/logging.hh"
-#include "sim/snapshot.hh"
 #include "trace/lifecycle.hh"
 
 namespace hmcsim
@@ -18,8 +16,9 @@ GupsPort::GupsPort(unsigned id, const GupsPortConfig &cfg, Bytes capacity,
                    EventQueue &queue, SubmitFn submit, std::uint64_t seed)
     : portId(id),
       cfg(cfg),
-      queue(queue),
+      queue(&queue),
       submit(std::move(submit)),
+      receiverId(queue.addReceiver(this)),
       addrGen(
           AddressGeneratorConfig{
               cfg.mode,
@@ -89,14 +88,14 @@ GupsPort::makePacket(Command cmd, Addr addr)
     pkt.payload = cfg.requestSize;
     pkt.port = static_cast<std::uint8_t>(portId);
     pkt.link = linkId;
-    pkt.tIssued = queue.now();
+    pkt.tIssued = queue->now();
     return pkt;
 }
 
 void
 GupsPort::scheduleIssue()
 {
-    scheduleIssueAt(queue.now());
+    scheduleIssueAt(queue->now());
 }
 
 void
@@ -109,39 +108,7 @@ GupsPort::scheduleIssueAt(Tick earliest)
     issuePending = true;
     const Tick when =
         nextIssueAllowed > earliest ? nextIssueAllowed : earliest;
-    queue.schedule(when, IssueEvent{this});
-}
-
-void
-GupsPort::IssueEvent::relocate(const SnapshotFixup &fixup)
-{
-    self = fixup.translate(self);
-}
-
-void
-GupsPort::restoreFrom(const GupsPort &src, SnapshotFixup &fixup)
-{
-    fixup.mapObject(&src, this);
-    addrGen = src.addrGen;
-    tags = src.tags;
-    writeCredits = src.writeCredits;
-    outstandingReads = src.outstandingReads;
-    outstandingWrites = src.outstandingWrites;
-    pendingRmwWrites = src.pendingRmwWrites;
-    running = src.running;
-    issuePending = src.issuePending;
-    nextIssueAllowed = src.nextIssueAllowed;
-    generatedOps = src.generatedOps;
-    nextPacketId = src.nextPacketId;
-    std::copy(std::begin(src.addrWindow), std::end(src.addrWindow),
-              std::begin(addrWindow));
-    addrWindowPos = src.addrWindowPos;
-    arrivalByTag = src.arrivalByTag;
-    // Raw batch copy, deliberately not a flush: flushing would mutate
-    // the (shared, possibly concurrently forked) source.
-    readBatch = src.readBatch;
-    writeBatch = src.writeBatch;
-    _stats = src._stats;
+    queue->schedule(when, IssueEvent{receiverId});
 }
 
 void
@@ -162,7 +129,7 @@ GupsPort::issueOne()
         ++outstandingWrites;
         ++_stats.writesIssued;
         Packet pkt = makePacket(Command::Write, addr);
-        submit(std::move(pkt));
+        submit.get()(std::move(pkt));
         issued = true;
     } else if (running && cfg.arrivals) {
         // Open loop: admit the next scheduled arrival, if due. The
@@ -171,7 +138,7 @@ GupsPort::issueOne()
         // sojourn-vs-service-latency gap the fleet layer measures
         // (src/service/).
         const Tick arrival = cfg.arrivals->peekArrival();
-        if (arrival <= queue.now()) {
+        if (arrival <= queue->now()) {
             if (tags.available()) {
                 Packet pkt = makePacket(Command::Read, nextAddress());
                 pkt.tag = tags.allocate();
@@ -180,7 +147,7 @@ GupsPort::issueOne()
                 ++outstandingReads;
                 ++_stats.readsIssued;
                 ++generatedOps;
-                submit(std::move(pkt));
+                submit.get()(std::move(pkt));
                 issued = true;
             }
             // No free tag: a response will wake us.
@@ -199,7 +166,7 @@ GupsPort::issueOne()
                 ++outstandingReads;
                 ++_stats.readsIssued;
                 ++generatedOps;
-                submit(std::move(pkt));
+                submit.get()(std::move(pkt));
                 issued = true;
             }
             break;
@@ -210,7 +177,7 @@ GupsPort::issueOne()
                 ++_stats.writesIssued;
                 ++generatedOps;
                 Packet pkt = makePacket(Command::Write, nextAddress());
-                submit(std::move(pkt));
+                submit.get()(std::move(pkt));
                 issued = true;
             }
             break;
@@ -224,7 +191,7 @@ GupsPort::issueOne()
                 ++outstandingReads;
                 ++_stats.readsIssued;
                 ++generatedOps;
-                submit(std::move(pkt));
+                submit.get()(std::move(pkt));
                 issued = true;
             }
             break;
@@ -232,7 +199,7 @@ GupsPort::issueOne()
     }
 
     if (issued) {
-        nextIssueAllowed = queue.now() + cfg.issueInterval;
+        nextIssueAllowed = queue->now() + cfg.issueInterval;
         // Keep the pipeline full: try again next cycle. If nothing can
         // issue then, the port goes quiet until a response arrives.
         scheduleIssue();
@@ -341,7 +308,7 @@ GupsPort::onResponse(const Packet &pkt)
     // and the per-completion byte counters are all batched into the
     // flush (flushReadBatch/flushWriteBatch), which reproduces the
     // per-sample results bit for bit (sim/stats.hh).
-    const Tick latency_ticks = queue.now() - pkt.tIssued;
+    const Tick latency_ticks = queue->now() - pkt.tIssued;
 
     if (pkt.thermalFailure)
         ++_stats.thermalFailures;
@@ -360,7 +327,7 @@ GupsPort::onResponse(const Packet &pkt)
         // Open loop: report sojourn (arrival -> completion) before the
         // tag can be reused by the wake below.
         if (cfg.arrivals)
-            cfg.arrivals->complete(arrivalByTag[pkt.tag], queue.now());
+            cfg.arrivals->complete(arrivalByTag[pkt.tag], queue->now());
         if (readBatch.push(latency_ticks))
             flushReadBatch();
         if (cfg.mix == RequestMix::ReadModifyWrite)

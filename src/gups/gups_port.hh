@@ -27,12 +27,12 @@
 #include "sim/stat_registry.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
+#include "sim/wiring.hh"
 
 namespace hmcsim
 {
 
 class PacketTracer;
-class SnapshotFixup;
 
 /** GUPS ports instantiated on the FPGA (one of ten is reserved). */
 constexpr unsigned gupsPortCount = 9;
@@ -110,7 +110,7 @@ struct GupsPortStats
 };
 
 /** A single traffic-generator port. */
-class GupsPort
+class GupsPort // lint:snapshot-state
 {
   public:
     /** Sink a port submits requests into (the HMC controller). */
@@ -194,26 +194,21 @@ class GupsPort
     }
     const GupsPortConfig &config() const { return cfg; }
 
-    /** The port's one self-scheduled event, named (instead of an
-     *  inline lambda) so simulator fork can recognize it by invoke
-     *  thunk and relocate its pointer (sim/snapshot.hh). */
-    struct IssueEvent // lint:snapshot-state
+    /** The port's one self-scheduled event: a receiver event
+     *  (sim/event.hh), so a copy of the queue fires it on the copy's
+     *  own port. */
+    struct IssueEvent
     {
-        GupsPort *self; // lint:allow(snapshot-safe, relocated through the fork fixup map)
-        void operator()() { self->issueOne(); }
-        void relocate(const SnapshotFixup &fixup);
+        using Receiver = GupsPort;
+        ReceiverId receiver;
+        void operator()(GupsPort &port) const { port.issueOne(); }
     };
 
-    /**
-     * Become a state copy of @p src for simulator fork: RNG stream,
-     * tag pool, credits, pending rw writes, issue gating, the
-     * pre-generated address window, and the buffered latency batches
-     * (copied raw, never flushed -- the source stays untouched so
-     * concurrent forks of one warm port are safe). Must run on a
-     * freshly built port with identical configuration; registers the
-     * src -> this mapping in @p fixup.
-     */
-    void restoreFrom(const GupsPort &src, SnapshotFixup &fixup);
+    /** Take @p other's state (Ac510Module::fork): @p other is built
+     *  from the same configuration; this port's wiring stays. The
+     *  buffered latency batches copy raw, never flushed, so the
+     *  source stays untouched and concurrent forks of it are safe. */
+    GupsPort &operator=(const GupsPort &other) = default;
 
   private:
     /** Issue-window depth: addresses pre-generated per refill so the
@@ -253,8 +248,9 @@ class GupsPort
 
     unsigned portId;
     GupsPortConfig cfg;
-    EventQueue &queue;
-    SubmitFn submit;
+    Wiring<EventQueue *> queue;
+    Wiring<SubmitFn> submit;
+    ReceiverId receiverId;
     AddressGenerator addrGen;
     TagPool tags;
     unsigned writeCredits;

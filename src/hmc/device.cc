@@ -17,7 +17,7 @@ HmcDevice::HmcDevice(const HmcDeviceConfig &cfg)
 {
     vaults.reserve(cfg.structure.numVaults);
     for (unsigned i = 0; i < cfg.structure.numVaults; ++i)
-        vaults.push_back(std::make_unique<VaultController>(this->cfg.vault));
+        vaults.emplace_back(this->cfg.vault);
 }
 
 Tick
@@ -70,7 +70,7 @@ HmcDevice::handleRequest(Packet &pkt, Tick arrival)
         routed += cfg.quadrantHopLatency;
     }
 
-    const Tick vault_done = vaults[d.vault]->service(pkt, routed);
+    const Tick vault_done = vaults[d.vault].service(pkt, routed);
     pkt.tDramDone = vault_done;
 
     // Response crosses the crossbar back to the ingress quadrant.
@@ -95,7 +95,7 @@ HmcDevice::registerStats(StatRegistry &registry,
     registry.addValue((path / "write_payload_bytes").str(),
                       "write payload bytes", &_stats.writePayloadBytes);
     for (unsigned i = 0; i < numVaults(); ++i)
-        vaults[i]->registerStats(registry,
+        vaults[i].registerStats(registry,
                                  path / ("vault" + std::to_string(i)));
 }
 
@@ -104,7 +104,7 @@ HmcDevice::registerCheckers(CheckerRegistry &registry,
                             const std::string &name) const
 {
     for (unsigned i = 0; i < numVaults(); ++i)
-        vaults[i]->registerCheckers(registry,
+        vaults[i].registerCheckers(registry,
                                     name + ".vault" + std::to_string(i));
 }
 
@@ -114,14 +114,14 @@ HmcDevice::applyTemperature(double temperature_c)
     const double multiplier =
         temperature_c > hotRefreshThresholdC ? 2.0 : 1.0;
     for (auto &vault : vaults)
-        vault->setRefresh(true, multiplier);
+        vault.setRefresh(true, multiplier);
 }
 
 void
 HmcDevice::reset()
 {
     for (auto &vault : vaults)
-        vault->reset();
+        vault.reset();
     _stats = HmcDeviceStats{};
     thermalShutdown = false;
 }

@@ -13,7 +13,6 @@
 #define HMCSIM_HMC_DEVICE_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "hmc/address_mapper.hh"
@@ -51,7 +50,7 @@ struct HmcDeviceStats
 };
 
 /** The cube. */
-class HmcDevice
+class HmcDevice // lint:snapshot-state
 {
   public:
     explicit HmcDevice(const HmcDeviceConfig &cfg);
@@ -95,10 +94,10 @@ class HmcDevice
     void registerCheckers(CheckerRegistry &registry,
                           const std::string &name) const;
 
-    VaultController &vault(unsigned idx) { return *vaults.at(idx); }
+    VaultController &vault(unsigned idx) { return vaults.at(idx); }
     const VaultController &vault(unsigned idx) const
     {
-        return *vaults.at(idx);
+        return vaults.at(idx);
     }
     unsigned numVaults() const
     {
@@ -114,26 +113,12 @@ class HmcDevice
 
     void reset();
 
-    /**
-     * Become a state copy of @p src for simulator fork
-     * (sim/snapshot.hh): per-vault backend/bus state plus device
-     * counters. The address mapper is pure configuration and stays as
-     * constructed. Must run on a freshly built device with identical
-     * configuration; read-only on @p src.
-     */
-    void
-    restoreFrom(const HmcDevice &src)
-    {
-        for (std::size_t i = 0; i < vaults.size(); ++i)
-            vaults[i]->restoreFrom(*src.vaults[i]);
-        _stats = src._stats;
-        thermalShutdown = src.thermalShutdown;
-    }
-
   private:
     HmcDeviceConfig cfg;
     AddressMapper _mapper;
-    std::vector<std::unique_ptr<VaultController>> vaults;
+    /** Sized once: registries hold pointers to the vaults, and a
+     *  same-size assignment (fork) copies them in place. */
+    std::vector<VaultController> vaults;
     HmcDeviceStats _stats;
     bool thermalShutdown = false;
 };

@@ -99,9 +99,9 @@ QueuedVaultController::offer(const Packet &pkt)
         return false;
     }
     ++_stats.accepted;
-    Packet *slot = pool.acquire();
-    *slot = pkt;
-    slot->tVaultArrive = queue.now();
+    const std::uint32_t slot = pool.acquire();
+    pool[slot] = pkt;
+    pool[slot].tVaultArrive = queue.now();
     bankQueues[bank_idx].push_back({slot, nextOfferSeq++});
     if (!bankState[bank_idx].busy)
         startNext(bank_idx);
@@ -122,22 +122,23 @@ QueuedVaultController::startNext(unsigned bank_idx)
         return;
     }
     bankState[bank_idx].busy = true;
-    Packet *pkt = bank_queue.front().pkt;
+    const std::uint32_t slot = bank_queue.front().pkt;
+    Packet &pkt = pool[slot];
     const std::uint64_t offer_seq = bank_queue.front().offerSeq;
     bank_queue.pop_front();
 
     // A request that deferred on the bus stage starts now, not at its
     // (past) arrival time.
-    const Tick earliest = pkt->tVaultArrive + cfg.base.controllerLatency;
+    const Tick earliest = pkt.tVaultArrive + cfg.base.controllerLatency;
     const Tick ready = earliest > queue.now() ? earliest : queue.now();
-    BankAccessResult res = fastHmc ? fastHmc->accept(*pkt, ready)
-                                   : storage->accept(*pkt, ready);
-    pkt->tBankStart = res.start;
-    if (pkt->cmd == Command::Atomic)
+    BankAccessResult res = fastHmc ? fastHmc->accept(pkt, ready)
+                                   : storage->accept(pkt, ready);
+    pkt.tBankStart = res.start;
+    if (pkt.cmd == Command::Atomic)
         res.dataReady += cfg.base.atomicLatency;
 
-    queue.schedule(res.dataReady, [this, bank_idx, pkt, offer_seq] {
-        onBankDone(bank_idx, pkt, offer_seq);
+    queue.schedule(res.dataReady, [this, bank_idx, slot, offer_seq] {
+        onBankDone(bank_idx, slot, offer_seq);
     });
     queue.schedule(res.bankFree, [this, bank_idx] {
         startNext(bank_idx);
@@ -153,7 +154,7 @@ QueuedVaultController::busBytesFor(const Packet &pkt) const
 }
 
 void
-QueuedVaultController::onBankDone(unsigned bank_idx, Packet *pkt,
+QueuedVaultController::onBankDone(unsigned bank_idx, std::uint32_t pkt,
                                   std::uint64_t offer_seq)
 {
     (void)bank_idx;
@@ -161,7 +162,7 @@ QueuedVaultController::onBankDone(unsigned bank_idx, Packet *pkt,
     // (dataReady, offerSeq). Entries arrive in dataReady order, so
     // only the equal-dataReady tail (bank-done events of this same
     // tick) can need reordering.
-    BusRequest req{pkt, busBytesFor(*pkt), queue.now(), offer_seq};
+    BusRequest req{pkt, busBytesFor(pool[pkt]), queue.now(), offer_seq};
     auto pos = busQueue.end();
     while (pos != busQueue.begin()) {
         const BusRequest &prev = *std::prev(pos);
@@ -202,10 +203,13 @@ QueuedVaultController::grantBus()
         static_cast<double>(req.busBytes) / bytes_per_ps);
     _stats.busBusy += duration;
 
-    queue.scheduleIn(duration, [this, pkt = req.pkt] {
+    queue.scheduleIn(duration, [this, slot = req.pkt] {
         ++_stats.completed;
-        onComplete(*pkt, queue.now());
-        pool.release(pkt);
+        // A copy: the callback may offer a request, and an acquire()
+        // can move the pool's packets.
+        const Packet done = pool[slot];
+        onComplete(done, queue.now());
+        pool.release(slot);
         busBusy = false;
         scheduleGrant();
         // The stage drained: wake any banks that deferred on it.

@@ -108,7 +108,7 @@ class QueuedVaultController
     void startNext(unsigned bank_idx);
 
     /** Bank finished its array access; contend for the data bus. */
-    void onBankDone(unsigned bank_idx, Packet *pkt,
+    void onBankDone(unsigned bank_idx, std::uint32_t pkt,
                     std::uint64_t offer_seq);
 
     /** Grant the bus to the next waiting transfer, if any. */
@@ -127,7 +127,7 @@ class QueuedVaultController
     /**
      * Every queued or in-flight request lives in a pooled slot from
      * offer() until its completion callback returns; queues and event
-     * captures hold only pointers, keeping captures inside the Event
+     * captures hold only slots, keeping captures inside the Event
      * inline budget (sim/event.hh) and the steady state free of
      * per-request allocation.
      */
@@ -151,14 +151,14 @@ class QueuedVaultController
      *  (the age the bus arbiter breaks ties with). */
     struct QueuedRequest
     {
-        Packet *pkt;
+        std::uint32_t pkt;
         std::uint64_t offerSeq;
     };
     std::vector<std::deque<QueuedRequest>> bankQueues;
 
     struct BusRequest
     {
-        Packet *pkt;
+        std::uint32_t pkt;
         Bytes busBytes;
         /** Tick the bank data became ready (= stage-entry time). */
         Tick dataReady;

@@ -30,7 +30,7 @@ VaultController::VaultController(const VaultConfig &cfg)
     // The factory's kind() is authoritative: the cast is safe exactly
     // when the engine is the (final) HmcDramBackend.
     if (storage->kind() == BackendKind::HmcDram)
-        fastHmc = static_cast<HmcDramBackend *>(storage.get());
+        fastHmc.get() = static_cast<HmcDramBackend *>(storage.get());
 }
 
 Tick
@@ -74,8 +74,9 @@ VaultController::serviceTimed(const Packet &pkt, Tick arrival,
     // The default engine is called through its devirtualized pointer
     // so accept() inlines here; the branch predicts perfectly (one
     // engine per vault for its whole lifetime).
-    BankAccessResult res = fastHmc ? fastHmc->accept(pkt, start)
-                                   : storage->accept(pkt, start);
+    BankAccessResult res = fastHmc.get()
+                               ? fastHmc->accept(pkt, start)
+                               : storage->accept(pkt, start);
     bank_start = res.start;
     // Atomics modify in place: they occupy the bank like a write and
     // pay the controller's ALU latency on top.
@@ -87,7 +88,7 @@ VaultController::serviceTimed(const Packet &pkt, Tick arrival,
     // A request that starts inside a 32 B beat wastes part of the
     // first beat (Sec. II-C: "starting or ending a request on a
     // 16-byte boundary uses the DRAM bus inefficiently").
-    const DramTimings &t = *busTimings;
+    const DramTimings &t = *busTimings.get();
     const Bytes beat_span = (pkt.addr % t.beatBytes) + pkt.payload;
     const Bytes bus_bytes =
         (t.beats(beat_span) + cfg.commandBeats) * t.beatBytes;

@@ -16,7 +16,6 @@
 #define HMCSIM_HMC_VAULT_CONTROLLER_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "dram/bank.hh"
@@ -28,6 +27,7 @@
 #include "mem/hmc_dram_backend.hh"
 #include "protocol/packet.hh"
 #include "sim/types.hh"
+#include "sim/wiring.hh"
 
 namespace hmcsim
 {
@@ -80,10 +80,22 @@ struct VaultStats
  * Analytic vault controller: given a request's arrival time, computes
  * when its response is ready, booking the bank and the TSV data bus.
  */
-class VaultController
+class VaultController // lint:snapshot-state
 {
   public:
     explicit VaultController(const VaultConfig &cfg);
+
+    /** A vault built from @p other's config, holding its state. */
+    VaultController(const VaultController &other)
+        : VaultController(other.cfg)
+    {
+        *this = other;
+    }
+
+    /** Take @p other's state (Ac510Module::fork): @p other is built
+     *  from the same config; this vault's engine object and the
+     *  pointers into it stay. */
+    VaultController &operator=(const VaultController &other) = default;
 
     /**
      * Service one request.
@@ -140,22 +152,6 @@ class VaultController
     /** Utilization of the TSV data bus over @p elapsed ticks. */
     double busUtilization(Tick elapsed) const;
 
-    /**
-     * Become a state copy of @p src for simulator fork
-     * (sim/snapshot.hh): backend bank/drain state, the TSV-bus
-     * horizon, and counters. Must run on a freshly built vault with
-     * identical configuration; the constructor-set storage/busTimings/
-     * fastHmc pointers keep pointing at this vault's own storage.
-     * Read-only on @p src.
-     */
-    void
-    restoreFrom(const VaultController &src)
-    {
-        storage->restoreFrom(*src.storage);
-        dataBus = src.dataBus;
-        _stats = src._stats;
-    }
-
     void reset();
 
   private:
@@ -165,18 +161,18 @@ class VaultController
 
     VaultConfig cfg;
     /** Storage engine selected by cfg.backend (mem/backend.hh). */
-    std::unique_ptr<MemoryBackend> storage;
+    BackendValue storage;
     /** Devirtualized view of `storage` when it is the default HMC
      *  DRAM array: the per-packet accept() then inlines into
      *  serviceTimed instead of going through the vtable, so the
      *  default path pays no dispatch cost for the interface (judged
      *  end to end by perfbench's campaign, docs/performance.md).
      *  Null for every other backend kind. */
-    HmcDramBackend *fastHmc = nullptr;
+    Wiring<HmcDramBackend *> fastHmc;
     /** storage->timings(), hoisted at construction: every backend
      *  returns a reference to a member that never moves, and the
      *  service hot path reads it per packet. */
-    const DramTimings *busTimings;
+    Wiring<const DramTimings *> busTimings;
     ThroughputRegulator dataBus;
     mutable VaultStats _stats;
 };

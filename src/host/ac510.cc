@@ -1,7 +1,6 @@
 #include "host/ac510.hh"
 
 #include "sim/logging.hh"
-#include "sim/snapshot.hh"
 #include "trace/lifecycle.hh"
 
 namespace hmcsim
@@ -21,9 +20,11 @@ Ac510Module::Ac510Module(const Ac510Config &cfg) : cfg(cfg)
         fatal("perPort overrides cover %zu of %u ports",
               cfg.perPort.size(), cfg.numPorts);
 
+    std::size_t in_flight = 0;
     for (unsigned i = 0; i < cfg.numPorts; ++i) {
         GupsPortConfig port_cfg =
             cfg.perPort.empty() ? cfg.port : cfg.perPort[i];
+        in_flight += port_cfg.tagPoolDepth + port_cfg.writeCreditDepth;
         // Ports distribute their packets over however many links the
         // controller was calibrated with.
         port_cfg.numLinks = cfg.controller.numLinks;
@@ -35,6 +36,7 @@ Ac510Module::Ac510Module(const Ac510Config &cfg) : cfg(cfg)
             },
             cfg.seed));
     }
+    _controller->reserveInFlight(in_flight);
 
     // Debug builds audit every model invariant as the queue drains;
     // release builds skip the sweep unless a caller opts in. The
@@ -118,30 +120,19 @@ Ac510Module::fork() const
                      "snapshot)");
     }
 
+    // The twin's constructor wires it up: its components register
+    // with its queue in the same order as ours, so receiver indices
+    // agree. Every piece of state is a value (packets by pool slot,
+    // components by receiver index), so the defaulted copies below
+    // are the whole fork; each component's wiring stays its own
+    // (sim/wiring.hh). Copying a pending event that is not a receiver
+    // event aborts and names it.
     auto fork_module = std::make_unique<Ac510Module>(cfg);
-
-    // Component state first: the controller's restore clones the
-    // packet pool and registers its block extents in the fixup map,
-    // which event relocation below depends on.
-    SnapshotFixup fixup;
-    fork_module->_controller->restoreFrom(*_controller, fixup);
-    fork_module->_device->restoreFrom(*_device);
+    fork_module->_queue = _queue;
+    *fork_module->_controller = *_controller;
+    *fork_module->_device = *_device;
     for (std::size_t i = 0; i < ports.size(); ++i)
-        fork_module->ports[i]->restoreFrom(*ports[i], fixup);
-
-    // Pending events: the audited main-path capture set. Anything
-    // else in the queue (test scaffolding, replay feeds) makes
-    // cloneEventQueue abort rather than fork a silently wrong world.
-    const std::vector<EventRelocator> relocators = {
-        makeEventRelocator<GupsPort::IssueEvent>("gups.issue"),
-        makeEventRelocator<HmcController::CubeArriveEvent>(
-            "controller.cube_arrive"),
-        makeEventRelocator<HmcController::ResponseReadyEvent>(
-            "controller.response_ready"),
-        makeEventRelocator<HmcController::DeliveredEvent>(
-            "controller.delivered"),
-    };
-    cloneEventQueue(_queue, fork_module->_queue, fixup, relocators);
+        *fork_module->ports[i] = *ports[i];
     return fork_module;
 }
 

@@ -123,20 +123,21 @@ class Ac510Module
     CheckerRegistry &checkers() { return _checkers; }
 
     /**
-     * Fork this simulator: build a fresh module from the same config
-     * and copy the complete dynamic state into it -- backend/bank
-     * state, link serializers and RNG streams, port generators, the
-     * packet pool, and every pending event (relocated through a
-     * SnapshotFixup pointer map; sim/snapshot.hh). The fork then runs
-     * exactly the event sequence this module would have run, producing
-     * byte-identical statistics (tests/test_snapshot_fork.cc).
+     * Fork this simulator: build a fresh module from the same config,
+     * then copy the event queue, controller, device and ports into it
+     * with their defaulted copy assignment. All of their state is
+     * values -- pending events name components by receiver index and
+     * packets by pool slot -- and what points into a simulator is
+     * Wiring (sim/wiring.hh), which the copy leaves alone. The fork
+     * then runs exactly the event sequence this module would have
+     * run, producing byte-identical statistics, and holds nothing of
+     * this module, so it may outlive it (tests/test_snapshot_fork.cc).
      *
      * Read-only on this module, so multiple threads may fork one
      * quiescent warm module concurrently (the sweep runner's
-     * warm-start mode relies on this; see runner/sweep.hh). Restricted
-     * to the audited main-path configurations: tracing and open-loop
-     * arrival feeds are rejected, and an unrecognized pending event
-     * type is fatal.
+     * warm-start mode relies on this; see runner/sweep.hh). Tracing
+     * and open-loop arrival feeds are rejected, and a pending event
+     * that is not a receiver event (a lambda) is fatal.
      */
     std::unique_ptr<Ac510Module> fork() const;
 

@@ -8,7 +8,6 @@
 #include "protocol/fields.hh"
 #include "sim/check.hh"
 #include "sim/logging.hh"
-#include "sim/snapshot.hh"
 
 namespace hmcsim
 {
@@ -50,17 +49,16 @@ HmcController::HmcController(const ControllerCalibration &cal,
       txFixedLat(cal.txFixedLatency()),
       rxFixedLat(cal.rxFixedLatency()),
       rxPerFlitTicks(cal.rxPerFlit),
-      queue(queue), device(device), deliver(std::move(deliver))
+      queue(&queue), device(&device), deliver(std::move(deliver)),
+      receiverId(queue.addReceiver(this))
 {
     if (const char *why = calibrationError(cal))
         fatal("%s", why);
     const LinkConfig tx_cfg = cal.txLinkConfig();
     const LinkConfig rx_cfg = cal.rxLinkConfig();
     for (unsigned i = 0; i < cal.numLinks; ++i) {
-        txLinks.push_back(std::make_unique<LinkDirection>(
-            tx_cfg, cal.txPropagation, 0x70000 + i));
-        rxLinks.push_back(std::make_unique<LinkDirection>(
-            rx_cfg, cal.rxPropagation, 0xB0000 + i));
+        txLinks.emplace_back(tx_cfg, cal.txPropagation, 0x70000 + i);
+        rxLinks.emplace_back(rx_cfg, cal.rxPropagation, 0xB0000 + i);
         if (cal.inputBufferFlits > 0) {
             tokens.emplace_back(cal.inputBufferFlits);
             parked.emplace_back();
@@ -74,139 +72,103 @@ HmcController::submitRequest(Packet &&pkt)
 {
     ++_stats.requestsSubmitted;
     // The request moves into a pooled slot here and stays in it for
-    // its whole lifetime; event captures below carry only the pointer
+    // its whole lifetime; event captures below carry only the slot
     // (the Event inline budget forbids by-value packets).
-    Packet *req = pool.acquire();
-    *req = pkt;
-    const unsigned link =
-        static_cast<unsigned>(req->link % txLinks.size());
-    req->link = static_cast<std::uint8_t>(link);
+    const std::uint32_t slot = pool.acquire();
+    Packet &req = pool[slot];
+    req = pkt;
+    const unsigned link = static_cast<unsigned>(req.link % txLinks.size());
+    req.link = static_cast<std::uint8_t>(link);
 
     // The Add-Seq# / Add-CRC stages of Fig. 14: stamp the on-the-wire
     // header and the tail CRC the cube will verify.
-    req->headerBits = encodeRequestHeader(makeRequestHeader(*req));
-    req->tailCrc = packetCrc(*req, req->headerBits);
+    req.headerBits = encodeRequestHeader(makeRequestHeader(req));
+    req.tailCrc = packetCrc(req, req.headerBits);
 
     // Request flow control (Fig. 14 stage 5): without cube buffer
     // tokens, the request waits in the controller; the stop signal is
     // implicit in the parked queue.
     if (!tokens.empty()) {
-        if (!tokens[link].consume(req->reqFlits())) {
+        if (!tokens[link].consume(req.reqFlits())) {
             ++_stats.flowControlStalls;
-            parked[link].push_back(req);
+            parked[link].push_back(slot);
             return;
         }
-        inFlightFlits[link] += req->reqFlits();
+        inFlightFlits[link] += req.reqFlits();
     }
 
-    startTransmit(req);
+    startTransmit(slot);
 }
 
 void
-HmcController::startTransmit(Packet *pkt)
+HmcController::startTransmit(std::uint32_t slot)
 {
-    const unsigned link = pkt->link;
+    Packet &pkt = pool[slot];
+    const unsigned link = pkt.link;
 
     // Fixed TX pipeline, then serialization on the shared wire.
-    const Tick tx_start = queue.now() + txFixedLat;
-    pkt->tLinkTx = tx_start;
-    _stats.txWireBytes += txLinks[link]->wireBytes(pkt->reqBytes());
-    const Tick arrive = txLinks[link]->transmit(tx_start, pkt->reqBytes());
+    const Tick tx_start = queue->now() + txFixedLat;
+    pkt.tLinkTx = tx_start;
+    _stats.txWireBytes += txLinks[link].wireBytes(pkt.reqBytes());
+    const Tick arrive = txLinks[link].transmit(tx_start, pkt.reqBytes());
 
-    queue.schedule(arrive, CubeArriveEvent{this, pkt});
+    queue->schedule(arrive, CubeArriveEvent{receiverId, slot});
 }
 
 void
-HmcController::CubeArriveEvent::operator()()
+HmcController::CubeArriveEvent::operator()(HmcController &c) const
 {
     // The cube decodes, routes, and services the request; it tells
     // us when the response starts back on the RX wire.
-    HmcController &c = *self;
-    const Tick resp_ready = c.device.handleRequest(*pkt, c.queue.now());
+    Packet &p = c.pool[pkt];
+    const Tick resp_ready = c.device->handleRequest(p, c.queue->now());
     const unsigned rx_link =
-        static_cast<unsigned>(pkt->link % c.rxLinks.size());
-    c.queue.schedule(resp_ready, ResponseReadyEvent{self, pkt, rx_link});
+        static_cast<unsigned>(p.link % c.rxLinks.size());
+    c.queue->schedule(resp_ready,
+                      ResponseReadyEvent{receiver, pkt, rx_link});
 }
 
 void
-HmcController::ResponseReadyEvent::operator()()
+HmcController::ResponseReadyEvent::operator()(HmcController &c) const
 {
-    HmcController &c = *self;
-    c._stats.rxWireBytes += c.rxLinks[rxLink]->wireBytes(pkt->respBytes());
+    const Packet &p = c.pool[pkt];
+    c._stats.rxWireBytes += c.rxLinks[rxLink].wireBytes(p.respBytes());
     const Tick at_fpga =
-        c.rxLinks[rxLink]->transmit(c.queue.now(), pkt->respBytes());
+        c.rxLinks[rxLink].transmit(c.queue->now(), p.respBytes());
     const Tick delivered = at_fpga + c.rxFixedLat +
-                           c.rxPerFlitTicks * pkt->respFlits();
-    c.queue.schedule(delivered, DeliveredEvent{self, pkt});
+                           c.rxPerFlitTicks * p.respFlits();
+    c.queue->schedule(delivered, DeliveredEvent{receiver, pkt});
 }
 
 void
-HmcController::DeliveredEvent::operator()()
+HmcController::DeliveredEvent::operator()(HmcController &c) const
 {
-    HmcController &c = *self;
-    pkt->tResponse = c.queue.now();
+    Packet &p = c.pool[pkt];
+    p.tResponse = c.queue->now();
     ++c._stats.responsesDelivered;
 
     // The response's RTC field returns the request's input-buffer
     // tokens; that may release parked requests (deassert the stop
     // signal).
     if (!c.tokens.empty()) {
-        const unsigned rx = pkt->link;
-        HMCSIM_DCHECK(c.inFlightFlits[rx] >= pkt->reqFlits(),
+        const unsigned rx = p.link;
+        HMCSIM_DCHECK(c.inFlightFlits[rx] >= p.reqFlits(),
                       "returning more flits than in flight "
                       "on link %u", rx);
-        c.inFlightFlits[rx] -= pkt->reqFlits();
-        c.tokens[rx].returnTokens(pkt->reqFlits());
+        c.inFlightFlits[rx] -= p.reqFlits();
+        c.tokens[rx].returnTokens(p.reqFlits());
         while (!c.parked[rx].empty() &&
-               c.tokens[rx].consume(c.parked[rx].front()->reqFlits())) {
-            Packet *next = c.parked[rx].front();
+               c.tokens[rx].consume(
+                   c.pool[c.parked[rx].front()].reqFlits())) {
+            const std::uint32_t next = c.parked[rx].front();
             c.parked[rx].pop_front();
-            c.inFlightFlits[rx] += next->reqFlits();
+            c.inFlightFlits[rx] += c.pool[next].reqFlits();
             c.startTransmit(next);
         }
     }
-    c.deliver(*pkt);
+    // Nothing below acquires from the pool, so `p` stays valid.
+    c.deliver.get()(p);
     c.pool.release(pkt);
-}
-
-void
-HmcController::CubeArriveEvent::relocate(const SnapshotFixup &fixup)
-{
-    self = fixup.translate(self);
-    pkt = fixup.translate(pkt);
-}
-
-void
-HmcController::ResponseReadyEvent::relocate(const SnapshotFixup &fixup)
-{
-    self = fixup.translate(self);
-    pkt = fixup.translate(pkt);
-}
-
-void
-HmcController::DeliveredEvent::relocate(const SnapshotFixup &fixup)
-{
-    self = fixup.translate(self);
-    pkt = fixup.translate(pkt);
-}
-
-void
-HmcController::restoreFrom(const HmcController &src, SnapshotFixup &fixup)
-{
-    fixup.mapObject(&src, this);
-    pool.cloneFrom(src.pool, fixup);
-    for (std::size_t i = 0; i < txLinks.size(); ++i) {
-        *txLinks[i] = *src.txLinks[i];
-        *rxLinks[i] = *src.rxLinks[i];
-    }
-    tokens = src.tokens;
-    inFlightFlits = src.inFlightFlits;
-    for (std::size_t link = 0; link < src.parked.size(); ++link) {
-        parked[link].clear();
-        for (Packet *p : src.parked[link])
-            parked[link].push_back(fixup.translate(p));
-    }
-    _stats = src._stats;
 }
 
 std::uint64_t
@@ -214,9 +176,9 @@ HmcController::linkRetries() const
 {
     std::uint64_t total = 0;
     for (const auto &link : txLinks)
-        total += link->retries();
+        total += link.retries();
     for (const auto &link : rxLinks)
-        total += link->retries();
+        total += link.retries();
     return total;
 }
 
@@ -251,13 +213,13 @@ HmcController::registerCheckers(CheckerRegistry &registry,
         registry.addLambda(base + ".stop_signal",
                            [this, link](Tick) -> std::string {
             if (parked[link].empty() ||
-                !tokens[link].canSend(parked[link].front()->reqFlits()))
+                !tokens[link].canSend(pool[parked[link].front()].reqFlits()))
                 return {};
             std::ostringstream out;
             out << parked[link].size()
                 << " requests parked although " << tokens[link].tokens()
                 << " tokens cover the head request's "
-                << parked[link].front()->reqFlits() << " flits";
+                << pool[parked[link].front()].reqFlits() << " flits";
             return out.str();
         });
     }

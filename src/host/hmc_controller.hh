@@ -14,7 +14,6 @@
 
 #include <deque>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -28,11 +27,10 @@
 #include "sim/event_queue.hh"
 #include "sim/stat_registry.hh"
 #include "sim/types.hh"
+#include "sim/wiring.hh"
 
 namespace hmcsim
 {
-
-class SnapshotFixup;
 
 /** One named stage of the TX/RX latency deconstruction (Fig. 14). */
 struct StageLatency
@@ -67,7 +65,7 @@ struct ControllerStats
 const char *calibrationError(const ControllerCalibration &cal);
 
 /** The controller. */
-class HmcController
+class HmcController // lint:snapshot-state
 {
   public:
     /** Response sink: routes a completed packet to its port. */
@@ -113,63 +111,59 @@ class HmcController
     void registerCheckers(CheckerRegistry &registry,
                           const std::string &name) const;
 
+    /** Size the packet pool for @p requests in flight at once (the
+     *  ports' tag pools and write FIFOs bound them). */
+    void reserveInFlight(std::size_t requests) { pool.reserve(requests); }
+
     /** The controller's in-flight packet pool (one per simulator;
      *  exposed for the perf harness's allocation accounting). */
     const PacketPool &packetPool() const { return pool; }
 
-    // Main-path event captures, named (instead of inline lambdas) so
-    // simulator fork can recognize pending events by invoke thunk and
-    // relocate their pointers into the forked world (sim/snapshot.hh).
-    // All trivially copyable; each pointer is rewritten by relocate().
+    // Main-path events: receiver events (sim/event.hh) that name the
+    // controller by its queue index and the packet by its pool slot,
+    // so a copy of the queue fires them on the copy's own controller.
 
     /** TX wire arrival: the cube decodes and services the request. */
-    struct CubeArriveEvent // lint:snapshot-state
+    struct CubeArriveEvent
     {
-        HmcController *self; // lint:allow(snapshot-safe, relocated through the fork fixup map)
-        Packet *pkt;         // lint:allow(snapshot-safe, pooled slot translated block-relative)
-        void operator()();
-        void relocate(const SnapshotFixup &fixup);
+        using Receiver = HmcController;
+        ReceiverId receiver;
+        std::uint32_t pkt;
+        void operator()(HmcController &c) const;
     };
 
     /** Response leaves the cube onto the RX wire. */
-    struct ResponseReadyEvent // lint:snapshot-state
+    struct ResponseReadyEvent
     {
-        HmcController *self; // lint:allow(snapshot-safe, relocated through the fork fixup map)
-        Packet *pkt;         // lint:allow(snapshot-safe, pooled slot translated block-relative)
+        using Receiver = HmcController;
+        ReceiverId receiver;
+        std::uint32_t pkt;
         unsigned rxLink;
-        void operator()();
-        void relocate(const SnapshotFixup &fixup);
+        void operator()(HmcController &c) const;
     };
 
     /** Response fully reassembled at the FPGA: tokens return, parked
      *  requests release, the port gets its completion. */
-    struct DeliveredEvent // lint:snapshot-state
+    struct DeliveredEvent
     {
-        HmcController *self; // lint:allow(snapshot-safe, relocated through the fork fixup map)
-        Packet *pkt;         // lint:allow(snapshot-safe, pooled slot translated block-relative)
-        void operator()();
-        void relocate(const SnapshotFixup &fixup);
+        using Receiver = HmcController;
+        ReceiverId receiver;
+        std::uint32_t pkt;
+        void operator()(HmcController &c) const;
     };
 
-    /**
-     * Become a state copy of @p src for simulator fork: clone the
-     * packet pool (registering its block extents in @p fixup so event
-     * captures can be translated), then copy link serializers, RNG
-     * streams, token counts, parked queues, and counters. Must run on
-     * a freshly built controller with identical calibration; read-only
-     * on @p src (concurrent forks of one warm source are safe).
-     */
-    void restoreFrom(const HmcController &src, SnapshotFixup &fixup);
+    /** Take @p other's state (Ac510Module::fork): @p other is built
+     *  from the same calibration; this controller's wiring stays. */
+    HmcController &operator=(const HmcController &other) = default;
 
   private:
     /**
      * Start the TX pipeline for a pooled request (tokens already
-     * held). The pointer stays live -- threaded through the event
+     * held). The slot stays live -- threaded through the event
      * captures of the TX wire, the cube visit, and the RX path --
-     * until the response is delivered, when the slot returns to the
-     * pool.
+     * until the response is delivered, when it returns to the pool.
      */
-    void startTransmit(Packet *pkt);
+    void startTransmit(std::uint32_t pkt);
 
     ControllerCalibration cal;
     /** Hoisted per-packet pipeline constants: the calibration's fixed
@@ -178,18 +172,19 @@ class HmcController
     Tick txFixedLat = 0;
     Tick rxFixedLat = 0;
     Tick rxPerFlitTicks = 0;
-    EventQueue &queue;
-    HmcDevice &device;
-    DeliverFn deliver;
+    Wiring<EventQueue *> queue;
+    Wiring<HmcDevice *> device;
+    Wiring<DeliverFn> deliver;
+    ReceiverId receiverId;
     /** Pool backing every in-flight request (docs/performance.md). */
     PacketPool pool;
-    std::vector<std::unique_ptr<LinkDirection>> txLinks;
-    std::vector<std::unique_ptr<LinkDirection>> rxLinks;
+    std::vector<LinkDirection> txLinks;
+    std::vector<LinkDirection> rxLinks;
     /** Per-link cube input-buffer tokens (engaged when configured). */
     std::vector<TokenFlowControl> tokens;
     /** Requests parked by the stop signal, per link (pooled slots,
      *  still owned by this controller). */
-    std::vector<std::deque<Packet *>> parked;
+    std::vector<std::deque<std::uint32_t>> parked;
     /** Independent count of flits holding tokens, per link (audited
      *  against `tokens` by the conservation checker). */
     std::vector<std::uint64_t> inFlightFlits;

@@ -126,13 +126,12 @@ class MemoryBackend
     virtual BankAccessResult accept(const Packet &pkt, Tick ready) = 0;
 
     /**
-     * Adopt the complete mutable state of @p src for simulator fork
-     * (sim/snapshot.hh). @p src is the same concrete type, built from
-     * the identical environment/config; read-only on @p src. Backends
-     * hold only value state (bank arrays, drain rings, counters), so
-     * implementations are plain member copies.
+     * Take the state of @p src, an engine of the same concrete type
+     * built from the same environment (Ac510Module::fork). Engines
+     * hold only values, so each override is its type's defaulted copy
+     * assignment.
      */
-    virtual void restoreFrom(const MemoryBackend &src) = 0;
+    virtual void assign(const MemoryBackend &src) = 0;
 
     /** Banks (or bank-equivalent partitions) the backend exposes. */
     virtual unsigned numBanks() const = 0;
@@ -183,6 +182,37 @@ class MemoryBackend
     }
 
     virtual void reset() = 0;
+};
+
+/**
+ * A vault's storage engine, held by value: assignment copies the other
+ * engine's state into this one through MemoryBackend::assign, so this
+ * vault keeps its own engine object and the pointers into it.
+ */
+class BackendValue
+{
+  public:
+    explicit BackendValue(std::unique_ptr<MemoryBackend> engine)
+        : engine(std::move(engine))
+    {
+    }
+    BackendValue(const BackendValue &) = delete;
+
+    BackendValue &
+    operator=(const BackendValue &other)
+    {
+        HMCSIM_DCHECK(engine->kind() == other.engine->kind(),
+                      "assigning a storage engine of another kind");
+        engine->assign(*other.engine);
+        return *this;
+    }
+
+    MemoryBackend *get() const { return engine.get(); }
+    MemoryBackend *operator->() const { return engine.get(); }
+    MemoryBackend &operator*() const { return *engine; }
+
+  private:
+    std::unique_ptr<MemoryBackend> engine;
 };
 
 /**

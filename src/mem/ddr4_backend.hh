@@ -24,7 +24,7 @@ namespace hmcsim
 {
 
 /** Open-page DDR4 channel as a vault storage engine. */
-class Ddr4Backend final : public MemoryBackend
+class Ddr4Backend final : public MemoryBackend // lint:snapshot-state
 {
   public:
     Ddr4Backend(const BackendEnvironment &env,
@@ -35,14 +35,9 @@ class Ddr4Backend final : public MemoryBackend
     BankAccessResult accept(const Packet &pkt, Tick ready) override;
 
     void
-    restoreFrom(const MemoryBackend &src) override
+    assign(const MemoryBackend &src) override
     {
-        const auto &o = static_cast<const Ddr4Backend &>(src);
-        HMCSIM_DCHECK(src.kind() == kind() &&
-                          banks.size() == o.banks.size(),
-                      "backend fork restore across mismatched engines");
-        banks = o.banks;
-        activates = o.activates;
+        *this = static_cast<const Ddr4Backend &>(src);
     }
 
     unsigned

@@ -24,7 +24,7 @@ namespace hmcsim
 {
 
 /** Closed-page HMC DRAM bank array (the paper's organization). */
-class HmcDramBackend final : public MemoryBackend
+class HmcDramBackend final : public MemoryBackend // lint:snapshot-state
 {
   public:
     explicit HmcDramBackend(const BackendEnvironment &env);
@@ -51,16 +51,9 @@ class HmcDramBackend final : public MemoryBackend
     }
 
     void
-    restoreFrom(const MemoryBackend &src) override
+    assign(const MemoryBackend &src) override
     {
-        const auto &o = static_cast<const HmcDramBackend &>(src);
-        HMCSIM_DCHECK(src.kind() == kind() &&
-                          banks.size() == o.banks.size(),
-                      "backend fork restore across mismatched engines");
-        env = o.env;
-        banks = o.banks;
-        nextRefresh = o.nextRefresh;
-        numRefreshes = o.numRefreshes;
+        *this = static_cast<const HmcDramBackend &>(src);
     }
 
     unsigned

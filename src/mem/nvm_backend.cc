@@ -100,19 +100,6 @@ NvmBackend::accept(const Packet &pkt, Tick ready)
 }
 
 void
-NvmBackend::restoreFrom(const MemoryBackend &src)
-{
-    const auto &o = static_cast<const NvmBackend &>(src);
-    HMCSIM_DCHECK(src.kind() == kind() && banks.size() == o.banks.size(),
-                  "backend fork restore across mismatched engines");
-    banks = o.banks;
-    drainDone = o.drainDone;
-    totalReads = o.totalReads;
-    totalWrites = o.totalWrites;
-    totalDrained = o.totalDrained;
-}
-
-void
 NvmBackend::registerStats(StatRegistry &registry,
                           const StatPath &path) const
 {
@@ -150,10 +137,9 @@ NvmBackend::registerCheckers(CheckerRegistry &registry,
     });
     // Drain-retirement conservation: with a finite ring, every write
     // is either still queued or has been retired -- per bank and in
-    // total. Holds across a snapshot/restore cycle because all
-    // cursors and counters are value state
-    // (tests/test_snapshot_fork.cc re-runs this checker on a restored
-    // twin).
+    // total. Holds across a fork because all cursors and counters
+    // are value state (tests/test_snapshot_fork.cc re-runs this
+    // checker on a forked twin).
     if (queueDepth > 0) {
         registry.addLambda(name + ".drain_conservation",
                            [this](Tick) -> std::string {

@@ -32,7 +32,7 @@ namespace hmcsim
 {
 
 /** PCM-like tier: asymmetric timing, write drain, endurance. */
-class NvmBackend final : public MemoryBackend
+class NvmBackend final : public MemoryBackend // lint:snapshot-state
 {
   public:
     NvmBackend(const BackendEnvironment &env,
@@ -42,7 +42,11 @@ class NvmBackend final : public MemoryBackend
 
     BankAccessResult accept(const Packet &pkt, Tick ready) override;
 
-    void restoreFrom(const MemoryBackend &src) override;
+    void
+    assign(const MemoryBackend &src) override
+    {
+        *this = static_cast<const NvmBackend &>(src);
+    }
 
     unsigned
     numBanks() const override

@@ -8,13 +8,18 @@
  * the controller's TX/RX pipeline *by value inside event captures*,
  * which both exceeded the Event inline budget (sim/event.hh) and made
  * every hop copy ~150 bytes. Components now acquire a pooled Packet
- * once per transaction, thread a pointer through their event
+ * once per transaction, thread its slot index through their event
  * captures, and release it when the transaction retires.
  *
- * The pool grows in blocks and never shrinks: after the warm-up
- * transient every acquire is a free-list pop, so a steady-state
- * schedule/fire/complete cycle performs zero allocations (enforced by
- * tests/test_event_queue.cc).
+ * Slots are indices into one vector, not addresses, so the pool is a
+ * plain value: a copy is a pool with the same packets in the same
+ * slots, and the captures and queues that hold slot numbers stay valid
+ * in it (Ac510Module::fork). The flip side: a Packet reference is only
+ * good until the next acquire(), which may grow the vector.
+ *
+ * The pool never shrinks: after the warm-up transient every acquire is
+ * a free-list pop, so a steady-state schedule/fire/complete cycle
+ * performs zero allocations (enforced by tests/test_event_queue.cc).
  *
  * Threading: one pool per simulated system, same contract as the
  * EventQueue that drives it (see host/ac510.hh) -- never shared
@@ -24,14 +29,12 @@
 #ifndef HMCSIM_PROTOCOL_PACKET_POOL_HH
 #define HMCSIM_PROTOCOL_PACKET_POOL_HH
 
-#include <algorithm>
 #include <cstddef>
-#include <memory>
+#include <cstdint>
 #include <type_traits>
 #include <vector>
 
 #include "protocol/packet.hh"
-#include "sim/check.hh"
 
 namespace hmcsim
 {
@@ -41,32 +44,27 @@ static_assert(std::is_trivially_copyable_v<Packet>,
               "recycled by plain assignment");
 
 /** A per-simulator free-list pool of Packet slots. */
-class PacketPool
+class PacketPool // lint:snapshot-state
 {
   public:
-    /** @param block_packets Slots added per growth step. */
-    explicit PacketPool(std::size_t block_packets = 256)
-        : blockPackets(block_packets ? block_packets : 1)
-    {
-    }
-
-    PacketPool(const PacketPool &) = delete;
-    PacketPool &operator=(const PacketPool &) = delete;
-
     /**
      * Take a fresh default-initialized packet slot. Amortized
-     * allocation-free: a new block is carved only when the free list
-     * is empty, which stops happening once the in-flight high-water
-     * mark is reached.
+     * allocation-free: the pool grows only when the free list is
+     * empty, which stops happening once the in-flight high-water mark
+     * is reached.
      */
-    Packet *
+    std::uint32_t
     acquire()
     {
-        if (freeList.empty())
-            grow();
-        Packet *slot = freeList.back();
-        freeList.pop_back();
-        *slot = Packet{};
+        std::uint32_t slot;
+        if (freeList.empty()) {
+            slot = static_cast<std::uint32_t>(slots.size());
+            slots.emplace_back();
+        } else {
+            slot = freeList.back();
+            freeList.pop_back();
+            slots[slot] = Packet{};
+        }
         ++numAcquired;
         const std::size_t live = numAcquired - numReleased;
         if (live > _highWater)
@@ -74,12 +72,29 @@ class PacketPool
         return slot;
     }
 
+    /** Make room for @p count packets: while no more are live at
+     *  once, acquire() never moves the packets, so the pool holds one
+     *  buffer, never an old and a new one while it copies. */
+    void
+    reserve(std::size_t count)
+    {
+        slots.reserve(count);
+        freeList.reserve(count);
+    }
+
     /** Return @p slot to the free list. */
     void
-    release(Packet *slot)
+    release(std::uint32_t slot)
     {
         ++numReleased;
         freeList.push_back(slot);
+    }
+
+    /** The packet in @p slot (valid until the next acquire()). */
+    Packet &operator[](std::uint32_t slot) { return slots[slot]; }
+    const Packet &operator[](std::uint32_t slot) const
+    {
+        return slots[slot];
     }
 
     /** Slots currently checked out. */
@@ -88,58 +103,12 @@ class PacketPool
     /** Most slots ever simultaneously checked out. */
     std::size_t highWater() const { return _highWater; }
 
-    /** Total slots owned (live + free). */
-    std::size_t capacity() const { return blocks.size() * blockPackets; }
-
-    /** Growth steps taken (1 after the first acquire; stable once
-     *  warm -- the perf harness watches this). */
-    std::size_t blocksAllocated() const { return blocks.size(); }
-
-    /**
-     * Become a deep copy of @p src for simulator fork (sim/snapshot.hh):
-     * replicate every block byte-for-byte, register each source block's
-     * extent in @p fixup so captured Packet pointers can be translated,
-     * and rebuild the free list through that translation. Must be
-     * called on a fresh pool; read-only on @p src.
-     */
-    template <typename Fixup>
-    void
-    cloneFrom(const PacketPool &src, Fixup &fixup)
-    {
-        HMCSIM_DCHECK(blocks.empty() && numAcquired == 0,
-                      "pool clone target must be fresh");
-        blockPackets = src.blockPackets;
-        blocks.reserve(src.blocks.size());
-        for (const auto &src_block : src.blocks) {
-            blocks.push_back(std::make_unique<Packet[]>(blockPackets));
-            Packet *base = blocks.back().get();
-            std::copy(src_block.get(), src_block.get() + blockPackets,
-                      base);
-            fixup.mapRange(src_block.get(),
-                           src_block.get() + blockPackets, base);
-        }
-        freeList.reserve(src.freeList.size());
-        for (Packet *slot : src.freeList)
-            freeList.push_back(fixup.translate(slot));
-        numAcquired = src.numAcquired;
-        numReleased = src.numReleased;
-        _highWater = src._highWater;
-    }
+    /** Total slots owned (live + free); stable once warm. */
+    std::size_t capacity() const { return slots.size(); }
 
   private:
-    void
-    grow()
-    {
-        blocks.push_back(std::make_unique<Packet[]>(blockPackets));
-        Packet *base = blocks.back().get();
-        freeList.reserve(freeList.size() + blockPackets);
-        for (std::size_t i = blockPackets; i > 0; --i)
-            freeList.push_back(base + (i - 1));
-    }
-
-    std::size_t blockPackets;
-    std::vector<std::unique_ptr<Packet[]>> blocks;
-    std::vector<Packet *> freeList;
+    std::vector<Packet> slots;
+    std::vector<std::uint32_t> freeList;
     std::size_t numAcquired = 0;
     std::size_t numReleased = 0;
     std::size_t _highWater = 0;

@@ -12,40 +12,62 @@
  * allocates: a callable that does not fit the inline budget is a
  * compile error, not a silent heap fallback.
  *
- * The inline budget (eventInlineBytes) is sized for the simulator's
- * audited capture sets -- a receiver pointer plus a pooled Packet
- * pointer plus a couple of scalars (see docs/performance.md). Big
- * state (a Packet, a config struct) must be hoisted into the owning
- * component or a pool and captured by pointer; the static_assert
- * below names the offender when someone forgets.
+ * Two kinds of callable fit:
  *
- * Trivially-copyable captures (the common case: `this`, pooled
- * pointers, indices) take a fast path where the Event itself is
- * relocated with memcpy and destruction is a no-op. Non-trivial
- * callables (e.g. a std::function holding test scaffolding) are still
- * supported inline through a manager function, as long as they fit.
+ *  - A receiver event: a trivially copyable struct that declares
+ *    `using Receiver = C;`, holds `ReceiverId receiver` (the index
+ *    component C got from EventQueue::addReceiver) plus plain values
+ *    such as a PacketPool slot, and defines `operator()(C &)`. The
+ *    queue passes the component in at fire time, so the capture holds
+ *    no pointer and a copy of the queue fires it on the copy's own
+ *    components. The main-path events are all receiver events, which
+ *    is what lets Ac510Module::fork copy a warm simulator.
+ *  - Any other `void()` callable (a lambda, a std::function holding
+ *    test scaffolding). It may capture pointers into its simulator,
+ *    so it cannot be copied: copying an Event that holds one aborts
+ *    and names the callable's type.
+ *
+ * Trivially-copyable captures take a fast path where the Event itself
+ * is relocated with memcpy and destruction is a no-op. Non-trivial
+ * callables are still supported inline through a manager function, as
+ * long as they fit.
  */
 
 #ifndef HMCSIM_SIM_EVENT_HH
 #define HMCSIM_SIM_EVENT_HH
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <new>
+#include <string_view>
 #include <type_traits>
 #include <utility>
+
+#include "sim/check.hh"
 
 namespace hmcsim
 {
 
 /** Inline capture budget of an Event, in bytes. */
-constexpr std::size_t eventInlineBytes = 48;
+constexpr std::size_t eventInlineBytes = 40;
 
 /** Maximum capture alignment an Event supports. */
 constexpr std::size_t eventInlineAlign = 16;
 
+/** Index of a component registered with an EventQueue. */
+using ReceiverId = std::uint32_t;
+
+/** True for receiver events (see the file comment). */
+template <typename D, typename = void>
+constexpr bool isReceiverEvent = false;
+template <typename D>
+constexpr bool isReceiverEvent<D, std::void_t<typename D::Receiver>> =
+    true;
+
 /**
- * A move-only, never-allocating `void()` callable.
+ * A never-allocating `void()` callable. Moves always work; copies work
+ * for receiver events only.
  *
  * Empty Events are valid (and not callable); the event queue only
  * stores engaged ones.
@@ -53,22 +75,6 @@ constexpr std::size_t eventInlineAlign = 16;
 class Event
 {
   public:
-    /** Signature of the type-erased invoke thunk. */
-    using InvokeFn = void (*)(void *);
-
-    /**
-     * The invoke thunk instantiated for callable type @p D. Exposed so
-     * snapshot code (sim/snapshot.hh) can identify a stored callable
-     * by comparing invokeTarget() against &invokeAs<KnownType> --
-     * the per-type thunk address is the callable's runtime identity.
-     */
-    template <typename D>
-    static void
-    invokeAs(void *self)
-    {
-        (*static_cast<D *>(self))();
-    }
-
     Event() = default;
 
     /** Wrap any callable whose captures fit the inline budget. */
@@ -77,14 +83,11 @@ class Event
               typename = std::enable_if_t<!std::is_same_v<D, Event>>>
     Event(F &&fn) // NOLINT(google-explicit-constructor)
     {
-        static_assert(std::is_invocable_r_v<void, D &>,
-                      "Event callables take no arguments and return "
-                      "void");
         static_assert(sizeof(D) <= eventInlineBytes,
                       "event capture exceeds the inline budget "
                       "(eventInlineBytes): hoist large state (e.g. a "
                       "Packet) into the owning component or a "
-                      "PacketPool and capture a pointer instead");
+                      "PacketPool and capture its slot instead");
         static_assert(alignof(D) <= eventInlineAlign,
                       "event capture is over-aligned for the inline "
                       "buffer");
@@ -92,6 +95,20 @@ class Event
                       "event captures must be nothrow "
                       "move-constructible (the queue relocates "
                       "entries)");
+        if constexpr (isReceiverEvent<D>) {
+            static_assert(std::is_trivially_copyable_v<D>,
+                          "receiver events must be trivially copyable: "
+                          "a queue copy copies their bytes");
+            static_assert(
+                std::is_invocable_r_v<void, D &, typename D::Receiver &>,
+                "receiver events take their Receiver & and return "
+                "void");
+        } else {
+            static_assert(std::is_invocable_r_v<void, D &>,
+                          "Event callables take no arguments and "
+                          "return void");
+            lambdaType = typeName<D>();
+        }
         ::new (static_cast<void *>(storage)) D(std::forward<F>(fn));
         invoke_ = &invokeAs<D>;
         if constexpr (!(std::is_trivially_copyable_v<D> &&
@@ -122,46 +139,32 @@ class Event
         return *this;
     }
 
-    Event(const Event &) = delete;
-    Event &operator=(const Event &) = delete;
+    /** Copy a receiver event; aborts on any other callable. */
+    Event(const Event &other) { copyFrom(other); }
+
+    Event &
+    operator=(const Event &other)
+    {
+        if (this != &other) {
+            clear();
+            copyFrom(other);
+        }
+        return *this;
+    }
 
     ~Event() { clear(); }
 
     /** True when a callable is stored. */
     explicit operator bool() const { return invoke_ != nullptr; }
 
-    /** Execute the callable (must be engaged). */
-    void operator()() { invoke_(storage); }
-
     /**
-     * The stored callable's invoke thunk, its runtime type identity.
-     * Compare against &invokeAs<T> to recognize a known capture type.
+     * Execute the callable (must be engaged). A receiver event gets
+     * `receivers[its receiver index]`: the queue passes its receiver
+     * table.
      */
-    InvokeFn invokeTarget() const { return invoke_; }
-
-    /**
-     * True when the stored callable is trivially copyable (and thus
-     * trivially destructible): its bytes can be memcpy'd into another
-     * Event. Non-trivial callables carry a manager and cannot be
-     * cloned byte-wise.
-     */
-    bool trivialCapture() const { return manager_ == nullptr; }
-
-    /** Raw capture bytes (for snapshot cloning of trivial captures). */
-    const void *captureBytes() const { return storage; }
-
-    /**
-     * Rebuild an Event from a known invoke thunk and a capture image.
-     * Only valid for trivially-copyable captures -- the snapshot layer
-     * verifies trivialCapture() on the source before calling this.
-     */
-    static Event
-    fromCaptureImage(InvokeFn invoke, const void *bytes)
+    void operator()(void *const *receivers = nullptr)
     {
-        Event ev;
-        ev.invoke_ = invoke;
-        std::memcpy(ev.storage, bytes, eventInlineBytes);
-        return ev;
+        invoke_(storage, receivers);
     }
 
   private:
@@ -171,6 +174,38 @@ class Event
         Destroy,
     };
 
+    template <typename D>
+    static void
+    invokeAs(void *self, void *const *receivers)
+    {
+        D &fn = *static_cast<D *>(self);
+        if constexpr (isReceiverEvent<D>)
+            fn(*static_cast<typename D::Receiver *>(
+                receivers[fn.receiver]));
+        else
+            fn();
+    }
+
+    /** A signature naming @p D, for the copy refusal: GCC and Clang
+     *  spell it "... [with D = <type>]" / "... [D = <type>]". */
+    template <typename D>
+    static const char *
+    typeName()
+    {
+        return __PRETTY_FUNCTION__;
+    }
+
+    /** The <type> part of a typeName() signature. */
+    static std::string_view
+    typeOf(const char *signature)
+    {
+        std::string_view type = signature;
+        const std::size_t at = type.find("D = ");
+        if (at != std::string_view::npos)
+            type = type.substr(at + 4, type.size() - at - 5);
+        return type;
+    }
+
     void
     clear()
     {
@@ -179,6 +214,7 @@ class Event
             manager_ = nullptr;
         }
         invoke_ = nullptr;
+        lambdaType = nullptr;
     }
 
     void
@@ -186,6 +222,7 @@ class Event
     {
         invoke_ = other.invoke_;
         manager_ = other.manager_;
+        lambdaType = other.lambdaType;
         if (manager_) {
             manager_(Op::Relocate, storage, other.storage);
         } else if (invoke_) {
@@ -193,12 +230,34 @@ class Event
         }
         other.invoke_ = nullptr;
         other.manager_ = nullptr;
+        other.lambdaType = nullptr;
+    }
+
+    void
+    copyFrom(const Event &other)
+    {
+        // Fork-time only (Ac510Module::fork copies the queue).
+        // lint:allow(hot-check)
+        HMCSIM_CHECK(other.lambdaType == nullptr,
+                     "cannot copy a pending %.*s: only receiver events "
+                     "copy (sim/event.hh), so a simulator with a "
+                     "pending lambda cannot be forked",
+                     static_cast<int>(typeOf(other.lambdaType).size()),
+                     typeOf(other.lambdaType).data());
+        invoke_ = other.invoke_;
+        if (invoke_)
+            std::memcpy(storage, other.storage, eventInlineBytes);
     }
 
     alignas(eventInlineAlign) unsigned char storage[eventInlineBytes];
-    void (*invoke_)(void *) = nullptr;
+    void (*invoke_)(void *, void *const *) = nullptr;
     void (*manager_)(Op, void *, void *) = nullptr;
+    /** typeName<D>() of a callable that is not a receiver event: it
+     *  may point into its simulator, so copying it is refused. */
+    const char *lambdaType = nullptr;
 };
+
+static_assert(sizeof(Event) == 64, "an Event fills one cache line");
 
 } // namespace hmcsim
 

@@ -1,7 +1,6 @@
 // lint:file(hot-path) -- event-core file: allocation-free callables (no std::function) and HMCSIM_DCHECK-only invariants, enforced by hmcsim-lint.
 #include "sim/event_queue.hh"
 
-#include <algorithm>
 #include <utility>
 
 #include "sim/check.hh"
@@ -191,8 +190,8 @@ EventQueue::executeTop()
     _now = top.when;
     check_detail::setCurrentTick(_now);
     ++numExecuted;
-    ev();
-    if (checkerRegistry && ++eventsSinceCheck >= checkEveryN) {
+    ev(receivers.get().data());
+    if (checkerRegistry.get() && ++eventsSinceCheck >= checkEveryN.get()) {
         eventsSinceCheck = 0;
         checkerRegistry->runAll(_now);
     }
@@ -233,73 +232,25 @@ EventQueue::setCheckers(CheckerRegistry *registry, std::uint64_t every_n)
     // Config-time API validation, not per-event work.
     // lint:allow(hot-check)
     HMCSIM_CHECK(every_n > 0, "checker interval must be non-zero");
-    checkerRegistry = registry;
-    checkEveryN = every_n;
+    checkerRegistry.get() = registry;
+    checkEveryN.get() = every_n;
     eventsSinceCheck = 0;
 }
 
 void
 EventQueue::runCheckers()
 {
-    if (checkerRegistry) {
+    if (checkerRegistry.get()) {
         eventsSinceCheck = 0;
         checkerRegistry->runAll(_now);
     }
 }
 
-std::vector<EventQueue::PendingView>
-EventQueue::pendingSnapshot() const
+ReceiverId
+EventQueue::addReceiver(void *component)
 {
-    std::vector<PendingView> views;
-    views.reserve(pending());
-    const auto view = [&](const Key &key) {
-        views.push_back({key.when, key.order >> slotBits,
-                         &slab[key.order & slotMask]});
-    };
-    for (const Run &run : runs) {
-        std::uint32_t at = run.head;
-        for (std::uint32_t n = 0; n < run.size; ++n) {
-            view(pool[at++]);
-            if (at % chunkKeys == 0 && n + 1 < run.size)
-                at = nextChunk[at / chunkKeys - 1] * chunkKeys;
-        }
-    }
-    for (std::size_t i = nowHead; i < nowLane.size(); ++i)
-        view(nowLane[i]);
-    std::sort(views.begin(), views.end(),
-              [](const PendingView &a, const PendingView &b) {
-                  return a.seq < b.seq;
-              });
-    return views;
-}
-
-void
-EventQueue::restoreBegin(Tick now)
-{
-    // Restore-time API validation, not per-event work.
-    // lint:allow(hot-check)
-    HMCSIM_CHECK(pending() == 0 && numExecuted == 0,
-                 "snapshot restore requires a fresh queue "
-                 "(pending=%llu executed=%llu)",
-                 static_cast<unsigned long long>(pending()),
-                 static_cast<unsigned long long>(numExecuted));
-    _now = now;
-}
-
-void
-EventQueue::restoreFinish(std::uint64_t next_seq,
-                          std::uint64_t num_executed,
-                          std::uint64_t events_since_check)
-{
-    // lint:allow(hot-check)
-    HMCSIM_CHECK(next_seq >= nextSeq,
-                 "restored seq counter would reissue seqs "
-                 "(restore=%llu local=%llu)",
-                 static_cast<unsigned long long>(next_seq),
-                 static_cast<unsigned long long>(nextSeq));
-    nextSeq = next_seq;
-    numExecuted = num_executed;
-    eventsSinceCheck = events_since_check;
+    receivers.get().push_back(component);
+    return static_cast<ReceiverId>(receivers.get().size() - 1);
 }
 
 void

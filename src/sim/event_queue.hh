@@ -32,6 +32,7 @@
 
 #include "sim/event.hh"
 #include "sim/types.hh"
+#include "sim/wiring.hh"
 
 namespace hmcsim
 {
@@ -43,12 +44,14 @@ class CheckerRegistry;
  *
  * Not thread safe; one queue per simulated system.
  */
-class EventQueue
+class EventQueue // lint:snapshot-state
 {
   public:
     EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
-    EventQueue &operator=(const EventQueue &) = delete;
+    /** Take @p other's clock, counters and pending events; this
+     *  queue's receivers and checkers stay (Ac510Module::fork). */
+    EventQueue &operator=(const EventQueue &) = default;
 
     /** Current simulated time. */
     Tick now() const { return _now; }
@@ -107,46 +110,19 @@ class EventQueue
     void setCheckers(CheckerRegistry *registry, std::uint64_t every_n = 1);
 
     /** The attached checker registry, or nullptr. */
-    CheckerRegistry *checkers() const { return checkerRegistry; }
-
-    // --- Snapshot/fork support (sim/snapshot.hh) -------------------
-    //
-    // A forked simulator rebuilds its queue by re-scheduling clones of
-    // the source's pending events in ascending original-seq order:
-    // relative (when, seq) order among the clones then matches the
-    // source exactly, and restoreFinish() bumps the seq counter past
-    // the source's so later schedules sort after every restored entry,
-    // exactly as they would have in the source.
-
-    /** Read-only view of one pending entry. */
-    struct PendingView
-    {
-        Tick when;
-        std::uint64_t seq;
-        const Event *ev;
-    };
-
-    /** All pending entries, sorted ascending by seq. Views are valid
-     *  until the next mutating call. */
-    std::vector<PendingView> pendingSnapshot() const;
+    CheckerRegistry *checkers() const { return checkerRegistry.get(); }
 
     /** The seq the next scheduled event will receive. */
     std::uint64_t seqCounter() const { return nextSeq; }
 
-    /** Events executed since the checkers last ran. */
-    std::uint64_t eventsSinceCheckCount() const { return eventsSinceCheck; }
-
     /**
-     * Prepare an empty queue for restoring a snapshot taken at
-     * @p now: sets the clock so re-scheduled entries pass the
-     * past-tick check. Fatal if the queue is not empty.
+     * Register @p component, a receiver of this queue's receiver events
+     * (sim/event.hh), and return its index. A component registers once,
+     * from its constructor; a simulator built from the same config
+     * registers its components in the same order, so its queue can
+     * take a copy of another's pending events.
      */
-    void restoreBegin(Tick now);
-
-    /** Adopt the source queue's counters after re-scheduling its
-     *  pending entries (see restoreBegin). */
-    void restoreFinish(std::uint64_t next_seq, std::uint64_t num_executed,
-                       std::uint64_t events_since_check);
+    ReceiverId addReceiver(void *component);
 
   private:
     /** Bits of Key::order that hold the slab slot: up to 16M events
@@ -269,8 +245,10 @@ class EventQueue
     Tick _now = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t numExecuted = 0;
-    CheckerRegistry *checkerRegistry = nullptr;
-    std::uint64_t checkEveryN = 1;
+    /** The components receiver events name, by ReceiverId. */
+    Wiring<std::vector<void *>> receivers;
+    Wiring<CheckerRegistry *> checkerRegistry;
+    Wiring<std::uint64_t> checkEveryN{1};
     std::uint64_t eventsSinceCheck = 0;
 };
 

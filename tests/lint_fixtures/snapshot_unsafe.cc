@@ -9,7 +9,7 @@ struct PendingEntry // lint:snapshot-state
     Dummy *target;
     int *cursor = nullptr;
     SlotList::iterator pos;
-    void relocate(Dummy *d) { target = d; }
+    void retarget(Dummy *d) { target = d; }
     Dummy *noted; // lint:allow(snapshot-safe, relocated through the fork fixup map)
 };
 

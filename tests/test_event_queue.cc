@@ -3,7 +3,7 @@
  * Tests for the event queue and the allocation-free event core
  * (docs/performance.md): same-tick FIFO for near and far schedules,
  * runUntil boundary semantics, reset, checker drain-point cadence,
- * far-future ordering, snapshot cloning, the sorted-run structure
+ * far-future ordering, queue copies, the sorted-run structure
  * against a (when, seq) sort, Event small-buffer semantics,
  * packet-pool reuse, and an allocation-counting guard over the
  * steady-state scheduling path.
@@ -29,7 +29,6 @@
 #include "protocol/packet_pool.hh"
 #include "sim/check.hh"
 #include "sim/event_queue.hh"
-#include "sim/snapshot.hh"
 
 // ---------------------------------------------------------------------
 // Global allocation counter: every operator new in this binary is
@@ -274,16 +273,15 @@ TEST(EventQueue, StepExecutesOneEventAtATime)
     EXPECT_EQ(fired, 2);
 }
 
-/** Trivially copyable capture for the clone test: appends its id to
- *  the log it points at, which the fork fixup retargets. */
+/** Receiver event for the copy tests: appends its id to the log its
+ *  queue registered, so a copied queue logs into its own. */
 struct LogFire
 {
-    std::vector<int> *log;
+    using Receiver = std::vector<int>;
+    ReceiverId receiver;
     int id;
 
-    void operator()() const { log->push_back(id); }
-
-    void relocate(const SnapshotFixup &fixup) { log = fixup.translate(log); }
+    void operator()(std::vector<int> &log) const { log.push_back(id); }
 };
 
 TEST(EventQueue, ClonedQueueFiresTheSameSequence)
@@ -291,25 +289,24 @@ TEST(EventQueue, ClonedQueueFiresTheSameSequence)
     std::vector<int> srcLog;
     std::vector<int> dstLog;
     EventQueue src;
+    const ReceiverId log = src.addReceiver(&srcLog);
     // Same-tick groups near and far, scheduled out of tick order.
     for (int id = 0; id < 4; ++id)
-        src.schedule(10 * tickUs, LogFire{&srcLog, 100 + id});
+        src.schedule(10 * tickUs, LogFire{log, 100 + id});
     for (int id = 0; id < 6; ++id)
-        src.schedule(500, LogFire{&srcLog, id});
-    src.schedule(2 * tickUs, LogFire{&srcLog, 50});
-    src.schedule(100, LogFire{&srcLog, -1});
+        src.schedule(500, LogFire{log, id});
+    src.schedule(2 * tickUs, LogFire{log, 50});
+    src.schedule(100, LogFire{log, -1});
     // Partly drain: the tick-100 entry and half the tick-500 group,
     // then add one entry at the current tick.
     for (int i = 0; i < 4; ++i)
         ASSERT_TRUE(src.step());
     EXPECT_EQ(srcLog, (std::vector<int>{-1, 0, 1, 2}));
-    src.schedule(src.now(), LogFire{&srcLog, 7});
+    src.schedule(src.now(), LogFire{log, 7});
 
-    SnapshotFixup fixup;
-    fixup.mapObject(&srcLog, &dstLog);
     EventQueue dst;
-    cloneEventQueue(src, dst, fixup,
-                    {makeEventRelocator<LogFire>("LogFire")});
+    ASSERT_EQ(dst.addReceiver(&dstLog), log);
+    dst = src;
     EXPECT_EQ(dst.now(), src.now());
     EXPECT_EQ(dst.pending(), src.pending());
     EXPECT_EQ(dst.seqCounter(), src.seqCounter());
@@ -317,8 +314,8 @@ TEST(EventQueue, ClonedQueueFiresTheSameSequence)
 
     // A schedule after the fork sorts after every restored entry of
     // its tick, in both worlds.
-    src.schedule(10 * tickUs, LogFire{&srcLog, 200});
-    dst.schedule(10 * tickUs, LogFire{&dstLog, 200});
+    src.schedule(10 * tickUs, LogFire{log, 200});
+    dst.schedule(10 * tickUs, LogFire{log, 200});
     srcLog.clear();
     src.runToCompletion();
     dst.runToCompletion();
@@ -351,10 +348,11 @@ TEST(EventQueue, StrictlyDecreasingSchedulesFireInOrder)
     // Each key precedes every run's tail, so each opens its own run.
     EventQueue q;
     std::vector<int> order;
+    const ReceiverId log = q.addReceiver(&order);
     std::vector<Tick> when;
     for (int i = 0; i < 300; ++i) {
         when.push_back(Tick(1000 - i));
-        q.schedule(when.back(), LogFire{&order, i});
+        q.schedule(when.back(), LogFire{log, i});
     }
     q.runToCompletion();
     EXPECT_EQ(order, firingOrder(when));
@@ -366,12 +364,13 @@ TEST(EventQueue, ScatteredPreloadMatchesSortedOrder)
     // ticks that only seq orders.
     EventQueue q;
     std::vector<int> order;
+    const ReceiverId log = q.addReceiver(&order);
     std::vector<Tick> when;
     std::uint64_t x = 1;
     for (int i = 0; i < 100000; ++i) {
         x = x * 6364136223846793005ULL + 1442695040888963407ULL;
         when.push_back(1 + (x >> 48));
-        q.schedule(when.back(), LogFire{&order, i});
+        q.schedule(when.back(), LogFire{log, i});
     }
     EXPECT_EQ(q.pending(), when.size());
     q.runToCompletion();
@@ -382,10 +381,11 @@ TEST(EventQueue, RunsThatEmptyAndRefillMidDrainKeepOrder)
 {
     EventQueue q;
     std::vector<int> order;
+    const ReceiverId log = q.addReceiver(&order);
     std::vector<Tick> when;
     const auto at = [&](Tick t) {
         when.push_back(t);
-        q.schedule(t, LogFire{&order, static_cast<int>(when.size() - 1)});
+        q.schedule(t, LogFire{log, static_cast<int>(when.size() - 1)});
     };
     // Two runs; the second (tail 50) empties at 50, and by 80 its tail
     // is behind now(), yet it takes the next keys that fit it before a
@@ -449,24 +449,23 @@ TEST(EventQueue, ClonedQueueWithSeveralRunsFiresTheSameSequence)
     std::vector<int> dstLog;
     std::vector<Tick> when;
     EventQueue src;
+    const ReceiverId log = src.addReceiver(&srcLog);
     for (int i = 0; i < 30; ++i) {
         when.push_back(100 + Tick((i * 7) % 30) * 10);
-        src.schedule(when.back(), LogFire{&srcLog, i});
+        src.schedule(when.back(), LogFire{log, i});
     }
     for (int i = 0; i < 7; ++i)
         ASSERT_TRUE(src.step());
 
-    SnapshotFixup fixup;
-    fixup.mapObject(&srcLog, &dstLog);
     EventQueue dst;
-    cloneEventQueue(src, dst, fixup,
-                    {makeEventRelocator<LogFire>("LogFire")});
+    ASSERT_EQ(dst.addReceiver(&dstLog), log);
+    dst = src;
     EXPECT_EQ(dst.pending(), src.pending());
     for (const Tick t : {Tick{395}, Tick{175}, Tick{385}, Tick{175}}) {
         when.push_back(t);
         const int id = static_cast<int>(when.size() - 1);
-        src.schedule(t, LogFire{&srcLog, id});
-        dst.schedule(t, LogFire{&dstLog, id});
+        src.schedule(t, LogFire{log, id});
+        dst.schedule(t, LogFire{log, id});
     }
     src.runToCompletion();
     dst.runToCompletion();
@@ -533,33 +532,47 @@ TEST(SboEvent, MoveTransfersOwnership)
 
 TEST(PacketPool, ReusesReleasedSlots)
 {
-    PacketPool pool(4);
-    Packet *a = pool.acquire();
-    a->id = 42;
+    PacketPool pool;
+    const std::uint32_t a = pool.acquire();
+    pool[a].id = 42;
     pool.release(a);
-    Packet *b = pool.acquire();
-    EXPECT_EQ(a, b);       // LIFO free list hands the hot slot back
-    EXPECT_EQ(b->id, 0u);  // ...reset to a fresh Packet
+    const std::uint32_t b = pool.acquire();
+    EXPECT_EQ(a, b);            // LIFO free list hands the hot slot back
+    EXPECT_EQ(pool[b].id, 0u);  // ...reset to a fresh Packet
     EXPECT_EQ(pool.live(), 1u);
     EXPECT_EQ(pool.highWater(), 1u);
     pool.release(b);
     EXPECT_EQ(pool.live(), 0u);
-    EXPECT_EQ(pool.blocksAllocated(), 1u);
+    EXPECT_EQ(pool.capacity(), 1u);
 }
 
-TEST(PacketPool, GrowsByBlocksUnderLoad)
+TEST(PacketPool, GrowsUnderLoad)
 {
-    PacketPool pool(4);
-    std::vector<Packet *> live;
+    PacketPool pool;
+    std::vector<std::uint32_t> live;
     for (int i = 0; i < 9; ++i)
         live.push_back(pool.acquire());
-    EXPECT_EQ(pool.blocksAllocated(), 3u);
-    EXPECT_EQ(pool.capacity(), 12u);
+    EXPECT_EQ(pool.capacity(), 9u);
     EXPECT_EQ(pool.highWater(), 9u);
-    for (Packet *p : live)
-        pool.release(p);
+    for (const std::uint32_t slot : live)
+        pool.release(slot);
     EXPECT_EQ(pool.live(), 0u);
-    EXPECT_EQ(pool.capacity(), 12u); // blocks stay for reuse
+    EXPECT_EQ(pool.capacity(), 9u); // slots stay for reuse
+}
+
+TEST(PacketPool, CopyKeepsPacketsInTheirSlots)
+{
+    PacketPool pool;
+    const std::uint32_t a = pool.acquire();
+    const std::uint32_t b = pool.acquire();
+    pool[a].id = 1;
+    pool[b].id = 2;
+    pool.release(a);
+    PacketPool copy;
+    copy = pool;
+    EXPECT_EQ(copy[b].id, 2u);
+    EXPECT_EQ(copy.live(), 1u);
+    EXPECT_EQ(copy.acquire(), a); // the free list came along
 }
 
 TEST(AllocationGuard, SteadyStateEventLoopIsAllocationFree)
@@ -601,26 +614,26 @@ TEST(AllocationGuard, SteadyStateEventLoopIsAllocationFree)
 
 TEST(AllocationGuard, PoolAcquireReleaseCycleIsAllocationFree)
 {
-    PacketPool pool(256);
-    // Warm: force the first block(s) into existence at a realistic
-    // in-flight depth.
-    std::vector<Packet *> live;
+    PacketPool pool;
+    // Warm: force the slots into existence at a realistic in-flight
+    // depth.
+    std::vector<std::uint32_t> live;
     live.reserve(128);
     for (int i = 0; i < 128; ++i)
         live.push_back(pool.acquire());
-    for (Packet *p : live)
-        pool.release(p);
+    for (const std::uint32_t slot : live)
+        pool.release(slot);
 
     const std::size_t before = g_allocations;
     for (int round = 0; round < 1000; ++round) {
         live.clear();
         for (int i = 0; i < 128; ++i)
             live.push_back(pool.acquire());
-        for (Packet *p : live)
-            pool.release(p);
+        for (const std::uint32_t slot : live)
+            pool.release(slot);
     }
     EXPECT_EQ(g_allocations - before, 0u);
-    EXPECT_EQ(pool.blocksAllocated(), 1u);
+    EXPECT_EQ(pool.capacity(), 128u);
 }
 
 } // namespace

@@ -4,16 +4,20 @@
  * per sweep point must be indistinguishable -- bit for bit -- from
  * cold-starting every point. Covers the three vault backends, serial
  * vs pooled sweeps, composition with the result cache, invariant
- * checkers across a snapshot/restore cycle, and concurrent forks of
- * one warm module (the TSan job runs this binary on the runner
- * thread pool).
+ * checkers across a snapshot/restore cycle, concurrent forks of one
+ * warm module (the TSan job runs this binary on the runner thread
+ * pool), a fork that outlives its source (the ASan job turns any
+ * pointer left into the source into a use-after-free), and the
+ * refusal to fork a pending lambda.
  */
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "dist/store.hh"
@@ -74,6 +78,44 @@ TEST(SnapshotFork, NvmForkMatchesColdStart)
 {
     expectForkMatchesCold(
         smallConfig(BackendKind::Nvm, RequestMix::WriteOnly));
+}
+
+TEST(SnapshotFork, ForkOutlivesItsSource)
+{
+    // The fork holds nothing of its source: destroy the warm module,
+    // then run the fork's measure window.
+    for (const auto &[kind, mix] :
+         {std::pair{BackendKind::HmcDram, RequestMix::ReadModifyWrite},
+          std::pair{BackendKind::Ddr4, RequestMix::ReadModifyWrite},
+          std::pair{BackendKind::Nvm, RequestMix::WriteOnly}}) {
+        const ExperimentConfig cfg = smallConfig(kind, mix);
+        RunArtifacts cold;
+        runExperiment(cfg, {}, &cold);
+
+        std::unique_ptr<Ac510Module> fork;
+        {
+            const WarmStart warm = prepareWarmStart(cfg);
+            fork = warm.module->fork();
+        }
+        StatRegistry registry;
+        fork->registerStats(registry, StatPath("system"));
+        fork->resetPortStats();
+        fork->runUntil(cfg.warmup + cfg.measure);
+        EXPECT_EQ(registry.digest(), cold.statDigest)
+            << "backend " << backendName(kind);
+    }
+}
+
+TEST(SnapshotForkDeathTest, PendingLambdaRefusesFork)
+{
+    // Only receiver events copy; a lambda may hold pointers into its
+    // simulator, so forking with one pending aborts and names it.
+    const ExperimentConfig cfg = smallConfig(BackendKind::HmcDram);
+    Ac510Module module(makeSystemConfig(cfg));
+    module.start();
+    module.runUntil(tickUs);
+    module.queue().schedule(module.queue().now() + 1, [] {});
+    EXPECT_DEATH(module.fork(), "cannot copy a pending .*lambda");
 }
 
 TEST(SnapshotFork, OneWarmupServesManyMeasureWindows)

@@ -90,17 +90,18 @@ ruleTable()
          "accept() path free of std::function and release-mode "
          "checks"},
         {"snapshot-safe", "",
-         "a raw-pointer or iterator member in a struct tagged "
+         "a raw-pointer or iterator member in a class tagged "
          "lint:snapshot-state without lint:allow(snapshot-safe)",
-         "snapshot-participating state is byte-copied into the forked "
-         "simulator; an address or iterator into the source survives "
-         "the copy and silently reads the *source* simulator unless "
-         "the fork path relocates it (docs/performance.md)",
-         "translate the member through the fork's SnapshotFixup map "
-         "in the struct's relocate() hook and record how with "
-         "lint:allow(snapshot-safe, <how it is restored>); where "
-         "possible store an index or pool-relative offset instead of "
-         "an address"},
+         "Ac510Module::fork copies snapshot-state classes into a "
+         "freshly built twin with their defaulted copy assignment; a "
+         "copied address or iterator still points into the *source* "
+         "simulator, so the fork silently reads or writes it "
+         "(docs/performance.md)",
+         "hold a value instead: an index (a receiver index, a "
+         "PacketPool slot) or a copyable object; a pointer the "
+         "constructor sets into its own simulator goes in "
+         "Wiring<T> (sim/wiring.hh), which assignment leaves "
+         "unchanged"},
         {"mutex-unguarded", "",
          "a mutex member with no GUARDED_BY(name) anywhere in the "
          "file",
@@ -541,8 +542,8 @@ checkMutexUnguarded(const FileContext &ctx, std::vector<Finding> &out)
 void
 checkSnapshotSafe(const FileContext &ctx, std::vector<Finding> &out)
 {
-    // Structs tagged `// lint:snapshot-state` participate in the
-    // copy-on-write snapshot/fork. Scan each tagged struct's body
+    // Classes tagged `// lint:snapshot-state` are copied by fork with
+    // their defaulted copy assignment. Scan each tagged class's body
     // (depth-1 lines only, so statements inside member functions are
     // exempt) for raw-pointer and iterator members. The marker lives
     // in a comment, so match against the raw lines; the body walk
@@ -579,8 +580,8 @@ checkSnapshotSafe(const FileContext &ctx, std::vector<Finding> &out)
                     addFinding(ctx, out, static_cast<int>(j) + 1,
                                "snapshot-safe",
                                "raw-pointer/iterator member of a "
-                               "snapshot-participating struct without "
-                               "a relocation note");
+                               "class fork copies: use an index or "
+                               "Wiring<T>");
                 }
             }
             if (opened && depth == 0)
