@@ -4,8 +4,8 @@
  *
  * Text, line-oriented, versioned at the hello. One sweep session:
  *
- *   worker -> coord   "hello v1 jobs <n>"
- *   coord  -> worker  "welcome v1 warm <0|1> points <total>"
+ *   worker -> coord   "hello v2 jobs <n>"
+ *   coord  -> worker  "welcome v2 warm <0|1> points <total>"
  *   worker -> coord   "want <max>"                (worker is idle)
  *   coord  -> worker  "granted <k>"               (k may wait: the
  *                     coordinator parks the want until work exists)
@@ -34,13 +34,13 @@ namespace hmcsim
 {
 
 /** Bump when any verb or payload layout changes incompatibly. */
-constexpr const char *distProtocolVersion = "v1";
+constexpr const char *distProtocolVersion = "v2";
 
-/** "hello v1 jobs <n>" */
+/** "hello v2 jobs <n>" */
 std::string formatHello(unsigned jobs);
 bool parseHello(const std::string &line, unsigned &jobs);
 
-/** "welcome v1 warm <0|1> points <total>" */
+/** "welcome v2 warm <0|1> points <total>" */
 std::string formatWelcome(bool warm_start, std::size_t total_points);
 bool parseWelcome(const std::string &line, bool &warm_start,
                   std::size_t &total_points);

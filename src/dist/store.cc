@@ -131,7 +131,7 @@ SharedResultStore::load(std::uint64_t key)
     // Prior disk formats are deliberate clean misses: the digest
     // schema may have changed underneath them, so trusting one could
     // serve a result for a *different* configuration. Re-simulate and
-    // overwrite in v4.
+    // overwrite in the current format.
     const bool legacy = header.starts_with("hmcsim-result v");
     if (!legacy)
         warn("result store: ignoring malformed entry %s",

@@ -15,8 +15,8 @@
  * Objects are sharded by the first two digest hex digits (directories
  * stay small at millions of entries) and written via temp-file +
  * atomic rename: readers see a whole entry or none. The object format
- * is an "hmcsim-result v4" header over serializeResultFields()'s
- * body; v1-v3 entries read as clean *legacy* misses -- an old-format
+ * is an "hmcsim-result v5" header over serializeResultFields()'s
+ * body; v1-v4 entries read as clean *legacy* misses -- an old-format
  * entry can never poison a hit, it just gets re-simulated and
  * rewritten.
  *
@@ -115,7 +115,7 @@ class SharedResultStore : public ResultStorage
     std::string claimPath(std::uint64_t key) const;
 
     /** Header line of the store's object format. */
-    static constexpr const char *formatHeader = "hmcsim-result v4";
+    static constexpr const char *formatHeader = "hmcsim-result v5";
 
   private:
     Options opts;

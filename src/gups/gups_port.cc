@@ -237,78 +237,28 @@ GupsPort::registerStats(StatRegistry &registry,
                       "tagged requests issued", &_stats.readsIssued);
     registry.addValue((path / "writes_issued").str(),
                       "write requests issued", &_stats.writesIssued);
-    // Completion counters and latency summaries are deferred into the
-    // tick batches (onResponse); these evaluators drain them first,
-    // then apply the same conversion addValue() would, so the digest
-    // bytes match the per-sample path exactly.
-    registry.add((path / "reads_completed").str(),
-                 "tagged responses received", [this] {
-        flushLatencyBatches();
-        return static_cast<double>(_stats.readsCompleted);
-    });
-    registry.add((path / "writes_completed").str(),
-                 "write responses received", [this] {
-        flushLatencyBatches();
-        return static_cast<double>(_stats.writesCompleted);
-    });
-    registry.add((path / "raw_bytes").str(),
-                 "raw link bytes of completed transactions", [this] {
-        flushLatencyBatches();
-        return static_cast<double>(_stats.rawBytes);
-    });
+    registry.addValue((path / "reads_completed").str(),
+                      "tagged responses received", &_stats.readsCompleted);
+    registry.addValue((path / "writes_completed").str(),
+                      "write responses received", &_stats.writesCompleted);
+    registry.addValue((path / "raw_bytes").str(),
+                      "raw link bytes of completed transactions",
+                      &_stats.rawBytes);
     registry.add((path / "read_latency_avg_ns").str(),
-                 "mean tagged-request round trip", [this] {
-        flushLatencyBatches();
-        return _stats.readLatencyNs.mean();
-    });
+                 "mean tagged-request round trip",
+                 [this] { return _stats.readLatencyNs.mean(); });
     registry.add((path / "read_latency_max_ns").str(),
-                 "max tagged-request round trip", [this] {
-        flushLatencyBatches();
-        return _stats.readLatencyNs.max();
-    });
+                 "max tagged-request round trip",
+                 [this] { return _stats.readLatencyNs.max(); });
     registry.addValue((path / "thermal_failures").str(),
                       "responses flagging thermal shutdown",
                       &_stats.thermalFailures);
 }
 
 void
-GupsPort::flushReadBatch() const
-{
-    const auto flushed = static_cast<std::uint64_t>(readBatch.size());
-    readBatch.flushInto(_stats.readLatencyNs, &_stats.readLatencyHistNs);
-    _stats.readsCompleted += flushed;
-    _stats.rawBytes += flushed * readTransactionBytes;
-    _stats.readPayloadBytes += flushed * readPayload;
-}
-
-void
-GupsPort::flushWriteBatch() const
-{
-    const auto flushed = static_cast<std::uint64_t>(writeBatch.size());
-    writeBatch.flushInto(_stats.writeLatencyNs);
-    _stats.writesCompleted += flushed;
-    _stats.rawBytes += flushed * writeTransactionBytes;
-    _stats.writePayloadBytes += flushed * writePayload;
-}
-
-void
-GupsPort::flushLatencyBatches() const
-{
-    if (!readBatch.empty())
-        flushReadBatch();
-    if (!writeBatch.empty())
-        flushWriteBatch();
-}
-
-void
 GupsPort::onResponse(const Packet &pkt)
 {
-    // The round trip stays in the integer tick domain here; the
-    // ns conversion, the latency accumulators, the histogram probe,
-    // and the per-completion byte counters are all batched into the
-    // flush (flushReadBatch/flushWriteBatch), which reproduces the
-    // per-sample results bit for bit (sim/stats.hh).
-    const Tick latency_ticks = queue->now() - pkt.tIssued;
+    const double latency_ns = ticksToNs(queue->now() - pkt.tIssued);
 
     if (pkt.thermalFailure)
         ++_stats.thermalFailures;
@@ -328,8 +278,11 @@ GupsPort::onResponse(const Packet &pkt)
         // tag can be reused by the wake below.
         if (cfg.arrivals)
             cfg.arrivals->complete(arrivalByTag[pkt.tag], queue->now());
-        if (readBatch.push(latency_ticks))
-            flushReadBatch();
+        _stats.readLatencyNs.sample(latency_ns);
+        _stats.readLatencyHistNs.sample(latency_ns);
+        ++_stats.readsCompleted;
+        _stats.rawBytes += readTransactionBytes;
+        _stats.readPayloadBytes += readPayload;
         if (cfg.mix == RequestMix::ReadModifyWrite)
             pendingRmwWrites.push_back(pkt.addr);
         break;
@@ -341,8 +294,10 @@ GupsPort::onResponse(const Packet &pkt)
                      portId, static_cast<unsigned long long>(pkt.id));
         --outstandingWrites;
         ++writeCredits;
-        if (writeBatch.push(latency_ticks))
-            flushWriteBatch();
+        _stats.writeLatencyNs.sample(latency_ns);
+        ++_stats.writesCompleted;
+        _stats.rawBytes += writeTransactionBytes;
+        _stats.writePayloadBytes += writePayload;
         break;
     }
 

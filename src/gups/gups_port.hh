@@ -152,19 +152,8 @@ class GupsPort // lint:snapshot-state
                generatedOps >= cfg.requestBudget;
     }
 
-    /**
-     * This port's monitoring counters. Latency samples and completion
-     * counters are buffered in tick-domain batches on the hot path
-     * (sim/stats.hh); the accessor drains them first, so readers
-     * always observe exactly the values the per-sample path would
-     * have produced.
-     */
-    const GupsPortStats &
-    stats() const
-    {
-        flushLatencyBatches();
-        return _stats;
-    }
+    /** This port's monitoring counters. */
+    const GupsPortStats &stats() const { return _stats; }
 
     /** Register this port's monitoring counters under @p path. */
     void registerStats(StatRegistry &registry, const StatPath &path) const;
@@ -176,16 +165,8 @@ class GupsPort // lint:snapshot-state
      */
     void registerCheckers(CheckerRegistry &registry,
                           const std::string &name) const;
-    /** Clear monitoring counters (e.g. after warm-up). Buffered
-     *  samples are warm-up samples, so they are dropped, not
-     *  flushed. */
-    void
-    resetStats()
-    {
-        _stats = GupsPortStats{};
-        readBatch.clear();
-        writeBatch.clear();
-    }
+    /** Clear monitoring counters (e.g. after warm-up). */
+    void resetStats() { _stats = GupsPortStats{}; }
 
     unsigned id() const { return portId; }
     unsigned outstanding() const
@@ -205,9 +186,7 @@ class GupsPort // lint:snapshot-state
     };
 
     /** Take @p other's state (Ac510Module::fork): @p other is built
-     *  from the same configuration; this port's wiring stays. The
-     *  buffered latency batches copy raw, never flushed, so the
-     *  source stays untouched and concurrent forks of it are safe. */
+     *  from the same configuration; this port's wiring stays. */
     GupsPort &operator=(const GupsPort &other) = default;
 
   private:
@@ -238,12 +217,6 @@ class GupsPort // lint:snapshot-state
         return addrWindow[addrWindowPos++];
     }
 
-    /** Drain the buffered latency batches and deferred completion
-     *  counters into _stats (see stats()). */
-    void flushLatencyBatches() const;
-    void flushReadBatch() const;
-    void flushWriteBatch() const;
-
     Packet makePacket(Command cmd, Addr addr);
 
     unsigned portId;
@@ -266,8 +239,8 @@ class GupsPort // lint:snapshot-state
 
     // Hoisted per-packet constants (constructor): link selection and
     // the per-completion byte costs, which are fixed by the port's
-    // mix and request size, so the response path adds n * constant at
-    // flush time instead of recomputing per packet.
+    // mix and request size, so the response path adds a constant
+    // instead of recomputing per packet.
     std::uint8_t linkId = 0;
     Bytes readTransactionBytes = 0;
     Bytes readPayload = 0;
@@ -283,13 +256,7 @@ class GupsPort // lint:snapshot-state
      *  completion) back through the feed. Empty in closed-loop mode. */
     std::vector<Tick> arrivalByTag;
 
-    // Tick-domain latency buffers; mutable so the const stats()
-    // accessor can drain them (logically the stats are unchanged --
-    // flushing only materializes values the per-sample path would
-    // already hold).
-    mutable TickLatencyBatch readBatch;
-    mutable TickLatencyBatch writeBatch;
-    mutable GupsPortStats _stats;
+    GupsPortStats _stats;
 };
 
 } // namespace hmcsim

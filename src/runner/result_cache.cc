@@ -15,9 +15,7 @@ codeStats(Codec &io, const char *key, Stats &s)
 {
     SampleStats::Raw raw = s.raw();
     if (!(io.key(key) && io.value(raw.count) && io.value(raw.sum) &&
-          io.value(raw.min) && io.value(raw.max) &&
-          io.value(raw.welfordMean) && io.value(raw.welfordM2) &&
-          io.endLine()))
+          io.value(raw.min) && io.value(raw.max) && io.endLine()))
         return false;
     if constexpr (!std::is_const_v<Stats>)
         s = SampleStats::fromRaw(raw);

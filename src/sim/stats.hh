@@ -6,7 +6,6 @@
 #ifndef HMCSIM_SIM_STATS_HH
 #define HMCSIM_SIM_STATS_HH
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -17,8 +16,6 @@
 
 namespace hmcsim
 {
-
-class TickLatencyBatch;
 
 /**
  * Nearest-rank rule shared by every exact-quantile consumer: the
@@ -99,8 +96,9 @@ class TickQuantiles
 };
 
 /**
- * Running sample statistics: count, sum, min, max, mean, variance.
- * Variance uses Welford's online algorithm for numerical stability.
+ * Running sample statistics: count, sum, min, max and mean -- the
+ * average, minimum and maximum the GUPS monitoring unit reports
+ * (Fig. 4b).
  */
 class SampleStats
 {
@@ -115,9 +113,6 @@ class SampleStats
             _min = value;
         if (value > _max)
             _max = value;
-        const double delta = value - welfordMean;
-        welfordMean += delta / static_cast<double>(_count);
-        welfordM2 += delta * (value - welfordMean);
     }
 
     /** Merge another accumulator into this one. */
@@ -142,13 +137,6 @@ class SampleStats
     {
         return _count ? _sum / static_cast<double>(_count) : 0.0;
     }
-    /** Population variance, or 0 with fewer than two samples. */
-    double
-    variance() const
-    {
-        return _count > 1 ? welfordM2 / static_cast<double>(_count) : 0.0;
-    }
-    double stddev() const;
 
     /**
      * Exact internal state, for bit-faithful round trips through the
@@ -161,14 +149,12 @@ class SampleStats
         double sum = 0.0;
         double min = 0.0;
         double max = 0.0;
-        double welfordMean = 0.0;
-        double welfordM2 = 0.0;
     };
 
     Raw
     raw() const
     {
-        return {_count, _sum, _min, _max, welfordMean, welfordM2};
+        return {_count, _sum, _min, _max};
     }
 
     static SampleStats
@@ -179,30 +165,14 @@ class SampleStats
         s._sum = raw.sum;
         s._min = raw.min;
         s._max = raw.max;
-        s.welfordMean = raw.welfordMean;
-        s.welfordM2 = raw.welfordM2;
         return s;
     }
 
   private:
-    friend class TickLatencyBatch;
-
-    /**
-     * Fold one chunk's mean/M2 into the variance accumulators and
-     * advance the count (the tick flush's variance path). Uses the
-     * same Chan et al. combination merge() uses: numerically
-     * equivalent to per-sample Welford, not bit-identical; variance()
-     * is not part of any digest or structured-output contract
-     * (docs/performance.md).
-     */
-    void combineChunk(const double *values, std::size_t n);
-
     std::uint64_t _count = 0;
     double _sum = 0.0;
     double _min = std::numeric_limits<double>::infinity();
     double _max = -std::numeric_limits<double>::infinity();
-    double welfordMean = 0.0;
-    double welfordM2 = 0.0;
 };
 
 /**
@@ -236,12 +206,6 @@ class Histogram
     double quantile(double p) const;
 
   private:
-    friend class TickLatencyBatch;
-
-    /** Precompute the integer tick-domain binning plan (see
-     *  TickLatencyBatch::flushInto). */
-    void buildTickPlan();
-
     double lo;
     double hi;
     double width;
@@ -249,79 +213,6 @@ class Histogram
     std::uint64_t _underflow = 0;
     std::uint64_t _overflow = 0;
     std::uint64_t total = 0;
-    /** Bin width in ticks when the integer plan applies, else 0. */
-    std::uint64_t tickBinTicks = 0;
-    /** floor(2^64 / tickBinTicks) + 1: rounded-up reciprocal for
-     *  dividing ticks by the bin width with a single multiply-high
-     *  instead of a hardware divide; buildTickPlan() proves it exact
-     *  for every in-range tick before enabling the plan. */
-    std::uint64_t tickBinMagic = 0;
-    /** tickBinTicks * numBins: first overflowing tick. */
-    std::uint64_t tickOverflowTicks = 0;
-    /** True when bin(t) = t / tickBinTicks is provably bit-identical
-     *  to the floating-point sample() path for every tick value. */
-    bool tickPlan = false;
-};
-
-/**
- * Fixed-capacity buffer of latency samples kept in the integer tick
- * domain, drained in one fused pass (TickLatencyBatch::flushInto).
- *
- * The hot per-response path used to convert ticks to ns and run two
- * double-precision Welford updates plus a histogram probe per sample;
- * buffering the raw ticks amortizes that to one tight loop per 256
- * responses with every digest-observable statistic bit-identical to
- * the per-sample path (docs/performance.md):
- *
- *  - sum: the ns values are accumulated with the same sequential
- *    additions in the same order, so sum (and mean = sum/count) is
- *    bit-identical.
- *  - min/max: computed over the integer ticks, then converted once;
- *    ticksToNs is monotone, so the results match the per-sample
- *    comparisons exactly.
- *  - histogram: when the histogram's tick plan applies (bin width an
- *    exact multiple of 125 ps, range starting at 0), bin(t) =
- *    t / widthTicks is provably equal to the floating-point binning
- *    for every tick, including exact bin boundaries; otherwise the
- *    flush falls back to the per-sample floating-point probe.
- *  - variance: folded per chunk via SampleStats::combineChunk (not
- *    digest-observable; see there).
- *
- * No heap allocation anywhere: the buffer is inline and the flush
- * scratch is stack-resident (tests/test_stats_batch.cc enforces it
- * with counting operator new).
- */
-class TickLatencyBatch
-{
-  public:
-    /** Buffer capacity in samples (2 KB of ticks). */
-    static constexpr std::size_t capacity = 256;
-
-    /** Append one latency sample in ticks.
-     *  @return true when the buffer is now full and must be flushed. */
-    bool
-    push(Tick latency_ticks)
-    {
-        buf[n++] = latency_ticks;
-        return n == capacity;
-    }
-
-    std::size_t size() const { return n; }
-    bool empty() const { return n == 0; }
-
-    /** Drop buffered samples without accumulating them (stat reset). */
-    void clear() { n = 0; }
-
-    /**
-     * Drain the buffer into @p stats (in nanoseconds) and, when
-     * non-null, @p hist, leaving the buffer empty. See the class
-     * comment for the bit-identity contract.
-     */
-    void flushInto(SampleStats &stats, Histogram *hist = nullptr);
-
-  private:
-    std::array<Tick, capacity> buf;
-    std::size_t n = 0;
 };
 
 /**

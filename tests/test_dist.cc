@@ -525,6 +525,9 @@ TEST(Protocol, VerbsRoundTrip)
     EXPECT_EQ(body, "fields");
 
     EXPECT_FALSE(parseHello("hello v999 jobs 1", jobs));
+    // A v1 worker sends result bodies with the latency variance
+    // fields: refused at hello, before any point is granted.
+    EXPECT_FALSE(parseHello("hello v1 jobs 1", jobs));
     EXPECT_FALSE(parseWant("want", want));
 }
 
@@ -535,18 +538,20 @@ TEST(Protocol, VerbsRejectSignsLeadingZerosAndTrailingJunk)
     const char *const bad[] = {"-1", "+7", "007", "7x", "7 junk",
                                "99999999999999999999"};
     const std::string digest = " 00000000000000ff";
+    const std::string version = distProtocolVersion;
     for (const char *n : bad) {
         const std::string v = n;
         unsigned u = 0;
         std::size_t z = 0;
         std::uint64_t d = 0;
         bool flag = false;
-        EXPECT_FALSE(parseHello("hello v1 jobs " + v, u)) << v;
+        EXPECT_FALSE(parseHello("hello " + version + " jobs " + v, u)) << v;
         EXPECT_FALSE(parseWant("want " + v, u)) << v;
         EXPECT_FALSE(parseGranted("granted " + v, z)) << v;
         EXPECT_FALSE(parsePointHeader("point " + v + digest, z, d)) << v;
         EXPECT_FALSE(parseResultHeader("result " + v + " 1", z, flag)) << v;
-        EXPECT_FALSE(parseWelcome("welcome v1 warm 0 points " + v, flag, z))
+        EXPECT_FALSE(
+            parseWelcome("welcome " + version + " warm 0 points " + v, flag, z))
             << v;
     }
     std::size_t index = 0;
@@ -562,7 +567,8 @@ TEST(Protocol, VerbsRejectSignsLeadingZerosAndTrailingJunk)
     EXPECT_FALSE(parseResultHeader("result 1 2", index, flag));
     EXPECT_FALSE(parseResultHeader("result 1 01", index, flag));
     EXPECT_FALSE(parseResultHeader("result 1 1 x", index, flag));
-    EXPECT_FALSE(parseWelcome("welcome v1 warm 2 points 1", flag, index));
+    EXPECT_FALSE(
+        parseWelcome("welcome " + version + " warm 2 points 1", flag, index));
     EXPECT_TRUE(parsePointHeader("point 0" + digest, index, d));
     EXPECT_EQ(index, 0u);
     EXPECT_EQ(d, 0xffu);
@@ -633,28 +639,36 @@ TEST(SharedStore, LegacyAndCorruptEntriesAreCleanMisses)
         std::ofstream(path) << text;
     };
 
-    // Every pre-v4 cache generation: digests from older config
+    // Every pre-v5 cache generation: digests from older config
     // serializations must never poison a hit.
     plant(1, "hmcsim-result v1\npattern x\n");
     plant(2, "hmcsim-result v2\npattern x\n");
     plant(3, "hmcsim-result v3\npattern x\n");
-    // Truncated v4 (crash mid-write without the atomic rename) and
-    // outright garbage: skipped, counted, re-simulated.
-    plant(4, "hmcsim-result v4\npattern x\n");
-    plant(5, "not a result at all\n");
+    // A well-formed v4 object: its latency lines still carry the
+    // variance fields (mean, M2) after count, sum, min and max.
+    std::string v4_body = serializeResultFields(storedResult(9.0));
+    for (const char *stats : {"readLatencyNs ", "writeLatencyNs "})
+        v4_body.insert(v4_body.find('\n', v4_body.find(stats)),
+                       " 0x0p+0 0x0p+0");
+    plant(4, "hmcsim-result v4\n" + v4_body);
+    // A truncated current object (crash mid-write without the atomic
+    // rename) and outright garbage: skipped, counted, re-simulated.
+    plant(5, std::string(SharedResultStore::formatHeader) +
+                 "\npattern x\n");
+    plant(6, "not a result at all\n");
 
-    for (std::uint64_t key = 1; key <= 5; ++key)
+    for (std::uint64_t key = 1; key <= 6; ++key)
         EXPECT_FALSE(store.load(key).has_value()) << key;
 
     const auto counters = store.counters();
-    EXPECT_EQ(counters.legacy, 3u);
+    EXPECT_EQ(counters.legacy, 4u);
     EXPECT_EQ(counters.corrupt, 2u);
     EXPECT_EQ(counters.hits, 0u);
 
     // Through a ResultCache the same entries are plain misses: a sweep
     // re-simulates them, never aborts, never hits.
     ResultCache cache(store);
-    for (std::uint64_t key = 1; key <= 5; ++key)
+    for (std::uint64_t key = 1; key <= 6; ++key)
         EXPECT_FALSE(cache.lookup(key).has_value()) << key;
     EXPECT_EQ(cache.hits(), 0u);
 

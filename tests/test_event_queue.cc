@@ -12,76 +12,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstdlib>
-
-// GCC pairs the replaced operator new with the library operator
-// delete across inlining and misreports the malloc/free replacement
-// pattern below as mismatched.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
-#endif
 #include <functional>
 #include <memory>
-#include <new>
 #include <numeric>
 #include <vector>
 
+#include "counting_allocator.hh"
 #include "protocol/packet_pool.hh"
 #include "sim/check.hh"
 #include "sim/event_queue.hh"
-
-// ---------------------------------------------------------------------
-// Global allocation counter: every operator new in this binary is
-// counted so tests can assert that a steady-state region performs no
-// heap allocation at all. Single-threaded by the test contract.
-// ---------------------------------------------------------------------
-
-namespace
-{
-std::size_t g_allocations = 0;
-}
-
-void *
-operator new(std::size_t size)
-{
-    ++g_allocations;
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    ++g_allocations;
-    if (void *p = std::malloc(size))
-        return p;
-    throw std::bad_alloc();
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace hmcsim
 {

@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the GUPS firmware model: address generation with
- * mask/anti-mask registers, access-pattern construction, and port
- * behavior (tag limits, credits, rw dependency, monitoring).
+ * mask/anti-mask registers, the issue-window refill (same stream as
+ * per-call generation, allocation-free), access-pattern construction,
+ * and port behavior (tag limits, credits, rw dependency, monitoring).
  */
 
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "counting_allocator.hh"
 #include "gups/address_generator.hh"
 #include "gups/gups_port.hh"
 #include "gups/patterns.hh"
@@ -114,6 +116,43 @@ TEST(AddressGenerator, RejectsBadSizes)
     EXPECT_DEATH(
         { AddressGenerator gen(genCfg(AddressingMode::Random, 24), 1); },
         "multiple of 16");
+}
+
+TEST(AddressGenerator, WindowedFillMatchesPerCallStream)
+{
+    // The refill must consume the RNG exactly as 32 next() calls
+    // would: a windowed port and a per-call port see the same stream.
+    const AddressGeneratorConfig cfg = genCfg(AddressingMode::Random, 128);
+    AddressGenerator per_call(cfg, 0x9999);
+    AddressGenerator windowed(cfg, 0x9999);
+    Addr window[32];
+    for (int refill = 0; refill < 16; ++refill) {
+        windowed.fill(window, 32);
+        for (const Addr a : window)
+            ASSERT_EQ(a, per_call.next());
+    }
+}
+
+TEST(AddressGenerator, IssueWindowRefillIsAllocationFree)
+{
+    AddressGeneratorConfig cfg = genCfg(AddressingMode::Random, 128);
+    AddressGenerator gen(cfg, 0x1234);
+
+    Addr window[32];
+    const std::size_t before = g_allocations;
+    for (int refill = 0; refill < 64; ++refill) {
+        gen.fill(window, 32);
+        for (const Addr a : window)
+            ASSERT_LT(a, cfg.capacity);
+    }
+    EXPECT_EQ(g_allocations, before);
+
+    cfg.mode = AddressingMode::Linear;
+    AddressGenerator lin(cfg, 0x1234);
+    const std::size_t before_linear = g_allocations;
+    for (int refill = 0; refill < 64; ++refill)
+        lin.fill(window, 32);
+    EXPECT_EQ(g_allocations, before_linear);
 }
 
 TEST(AddressGenerator, RejectsSizesAboveTheMaxPayload)

@@ -5,8 +5,10 @@
 
 For each of perfbench's campaign and warm-backends workloads, runs
 python3 perfbench/run.py --workload W --seconds 10 in BASE_DIR and
-HEAD_DIR for five pairs, alternating which checkout goes first, and
-fails (exit 1) unless, for both workloads:
+HEAD_DIR for six pairs, alternating which checkout goes first (an even
+count, so each goes first equally often: the second run of a pair tends
+to read higher on a shared host), and fails (exit 1) unless, for both
+workloads:
 
   - every run reads correct: true;
   - no head run has more failed outputs than the base run it is paired
@@ -18,11 +20,12 @@ It also prints base and head medians of every other end_to_end metric
 HEAD_DIR's BENCHMARK.json declares (setup_s, wall_s, peak_rss_mb,
 req_p50_us, req_p99_us), with the direction that is better. Those are
 reported, not judged: on a shared host their run-to-run spread is
-wider than their bounds (docs/performance.md).
+wider than their bounds (docs/performance.md). Every median line also
+says in how many pairs head was ahead.
 
 Each checkout builds its own perfbench binary under .bench_build/ on
 its first run. The campaign covers every layer of the platform: event
-core, GUPS issue, controller, link, HMC vault dispatch and stats flush.
+core, GUPS issue, controller, link, HMC vault dispatch and latency stats.
 warm-backends is the only workload through Ac510Module::fork and the
 DDR4 and NVM storage engines.
 """
@@ -35,7 +38,7 @@ from pathlib import Path
 
 WORKLOADS = ("campaign", "warm-backends")
 SECONDS = "10"
-PAIRS = 5
+PAIRS = 6
 METRIC = "items_per_s"
 
 
@@ -63,6 +66,15 @@ def summary(values):
             f"[{min(values):.4g}..{max(values):.4g}]")
 
 
+def head_ahead(base, head, name, better):
+    """In how many pairs head's @p name beat base's, as "k/n"."""
+    sign = 1.0 if better == "higher" else -1.0
+    wins = sum(sign * (h["metrics"][name]["value"] -
+                       b["metrics"][name]["value"]) > 0
+               for b, h in zip(base, head))
+    return f"{wins}/{len(base)}"
+
+
 def report(workload, base, head, declared):
     """Print base and head medians of each declared metric both have."""
     for metric in declared:
@@ -75,9 +87,11 @@ def report(workload, base, head, declared):
             for runs in (base, head))
         change = (f"{head_median / base_median - 1.0:+.1%}"
                   if base_median else "n/a")
+        ahead = head_ahead(base, head, name, metric["better"])
         print(f"{workload} median {name}: base {base_median:.4g} "
               f"{base_span}, head {head_median:.4g} {head_span} ({change}; "
-              f"{metric['better']} is better; reported, not judged)")
+              f"{metric['better']} is better; head ahead in {ahead} pairs; "
+              f"reported, not judged)")
 
 
 def judge(workload, base_dir, head_dir, allowed, declared):
@@ -106,8 +120,10 @@ def judge(workload, base_dir, head_dir, allowed, declared):
     head_median = statistics.median(r["metrics"][METRIC]["value"]
                                     for r in head)
     change = head_median / base_median - 1.0
+    ahead = head_ahead(base, head, METRIC, "higher")
     print(f"{workload} median {METRIC}: base {base_median:.4g}, "
-          f"head {head_median:.4g} ({change:+.1%}; bound -{allowed:.0%})")
+          f"head {head_median:.4g} ({change:+.1%}; head ahead in {ahead} "
+          f"pairs; bound -{allowed:.0%})")
     if change < -allowed:
         problems.append(f"{workload} head median {METRIC} is "
                         f"{-change:.1%} below base (bound {allowed:.0%})")
