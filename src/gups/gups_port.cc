@@ -106,9 +106,28 @@ GupsPort::scheduleIssueAt(Tick earliest)
     if (issuePending || (!running && pendingRmwWrites.empty()))
         return;
     issuePending = true;
+    if (reserved) {
+        reserved = false;
+        if (!queue->hasPassed(nextIssueAllowed, reservedSeq)) {
+            queue->scheduleReserved(nextIssueAllowed, reservedSeq,
+                                    IssueEvent{receiverId});
+            return;
+        }
+    }
     const Tick when =
         nextIssueAllowed > earliest ? nextIssueAllowed : earliest;
     queue->schedule(when, IssueEvent{receiverId});
+}
+
+bool
+GupsPort::wouldIssue() const
+{
+    if (!pendingRmwWrites.empty() && writeCredits > 0)
+        return true;
+    if (!running || budgetExhausted())
+        return false;
+    return cfg.mix == RequestMix::WriteOnly ? writeCredits > 0
+                                            : tags.available();
 }
 
 void
@@ -200,9 +219,19 @@ GupsPort::issueOne()
 
     if (issued) {
         nextIssueAllowed = queue->now() + cfg.issueInterval;
-        // Keep the pipeline full: try again next cycle. If nothing can
-        // issue then, the port goes quiet until a response arrives.
-        scheduleIssue();
+        // Keep the pipeline full: try again next cycle. An attempt
+        // that cannot issue then would only wait for a response, so a
+        // closed-loop port reserves the attempt's queue key instead,
+        // and the response's wake schedules it there. Until then only
+        // responses and stop() change what an attempt can do, so one
+        // that would issue now still does when it fires. A reserved
+        // key must lie past the current tick (scheduleReserved).
+        if (cfg.arrivals || wouldIssue() || cfg.issueInterval == 0) {
+            scheduleIssue();
+        } else if (running || !pendingRmwWrites.empty()) {
+            reserved = true;
+            reservedSeq = queue->reserveSeq();
+        }
     }
     // Not issued: wait for onResponse() to wake us.
 }

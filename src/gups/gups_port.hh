@@ -168,6 +168,10 @@ class GupsPort // lint:snapshot-state
     /** Clear monitoring counters (e.g. after warm-up). */
     void resetStats() { _stats = GupsPortStats{}; }
 
+    /** True while the port holds a reserved issue attempt (see
+     *  issueOne). */
+    bool issueReserved() const { return reserved; }
+
     unsigned id() const { return portId; }
     unsigned outstanding() const
     {
@@ -205,6 +209,10 @@ class GupsPort // lint:snapshot-state
      *  port is running and has work. */
     void issueOne();
 
+    /** True when issueOne() would issue, were it to run now: the
+     *  closed-loop branches of issueOne(), without their effects. */
+    bool wouldIssue() const;
+
     /** Pop the next generated address, refilling the window when it
      *  runs dry (RNG consumed in the same order as per-call next()). */
     Addr
@@ -234,6 +242,13 @@ class GupsPort // lint:snapshot-state
     bool running = false;
     bool issuePending = false;
     Tick nextIssueAllowed = 0;
+    /** Closed loop: after an issue whose follow-up attempt could not
+     *  issue, the queue key (nextIssueAllowed, reservedSeq) that
+     *  attempt would have had. The first wake schedules the attempt
+     *  at that key, unless it has passed, so attempts fire in the
+     *  order they would with the no-op scheduled. */
+    bool reserved = false;
+    std::uint64_t reservedSeq = 0;
     std::uint64_t generatedOps = 0;
     std::uint64_t nextPacketId;
 

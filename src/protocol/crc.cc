@@ -63,8 +63,8 @@ Crc32::update(const void *data, std::size_t len)
 {
     const auto *bytes = static_cast<const unsigned char *>(data);
 #if defined(__BYTE_ORDER__) && __BYTE_ORDER__ == __ORDER_LITTLE_ENDIAN__
-    // Hot path: the packet-CRC stages feed 8-byte words (header bits,
-    // pseudo-payload words), so the whole update is one folded step.
+    // Hot path: the packet CRC feeds three 8-byte words (header bits,
+    // id, address), so each folds in one step.
     while (len >= 8) {
         std::uint64_t word;
         std::memcpy(&word, bytes, 8);

@@ -5,7 +5,8 @@
  * The HMC specification protects every packet with a 32-bit CRC using
  * the Koopman polynomial 0x741B8CD7. The Add-CRC / verify stages of the
  * controller pipeline (Fig. 14, stages 6 and the RX mirror) compute
- * this over header + payload.
+ * this over the packet; packetCrc (protocol/fields.hh) says which
+ * bytes the simulator feeds it.
  */
 
 #ifndef HMCSIM_PROTOCOL_CRC_HH

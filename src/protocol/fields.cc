@@ -2,7 +2,6 @@
 
 #include "protocol/crc.hh"
 #include "sim/logging.hh"
-#include "sim/random.hh"
 
 namespace hmcsim
 {
@@ -129,18 +128,12 @@ makeRequestHeader(const Packet &pkt, std::uint8_t cub)
 std::uint32_t
 packetCrc(const Packet &pkt, std::uint64_t header_bits)
 {
-    Crc32 crc;
-    crc.update(&header_bits, sizeof(header_bits));
-    // Deterministic pseudo-payload from the packet identity: distinct
-    // packets get distinct protected bytes.
-    std::uint64_t state = pkt.id ^ (pkt.addr << 1);
-    const unsigned payload_words =
-        static_cast<unsigned>(pkt.payload / 8);
-    for (unsigned i = 0; i < payload_words; ++i) {
-        const std::uint64_t word = splitMix64(state);
-        crc.update(&word, sizeof(word));
-    }
-    return crc.value();
+    // The header carries the command, the length and the address; the
+    // id and the full address name the packet the header was built
+    // for. Payload bytes are not modelled, so there is nothing else
+    // to protect.
+    const std::uint64_t words[3] = {header_bits, pkt.id, pkt.addr};
+    return Crc32::compute(words, sizeof(words));
 }
 
 } // namespace hmcsim

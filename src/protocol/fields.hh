@@ -48,7 +48,7 @@ struct RequestHeader
 /** Decoded tail fields. */
 struct PacketTail
 {
-    std::uint32_t crc;  ///< CRC-32 over header + payload.
+    std::uint32_t crc;  ///< CRC-32 over the packet (packetCrc).
     std::uint8_t rtc;   ///< Return token count (5 bits).
     std::uint8_t slid;  ///< Source link id (3 bits).
     std::uint8_t seq;   ///< 3-bit sequence number.
@@ -85,10 +85,11 @@ Bytes payloadForCode(std::uint8_t code);
 RequestHeader makeRequestHeader(const Packet &pkt, std::uint8_t cub = 0);
 
 /**
- * Compute the tail CRC of a packet: covers the encoded header and a
- * deterministic pseudo-payload derived from the packet identity (the
- * simulator does not track data bytes; the pseudo-payload gives the
- * CRC real, distinct bytes to protect).
+ * Compute the tail CRC of a packet: one CRC-32 over the encoded header
+ * (command, length, tag, address), the packet id and the full
+ * address. The simulator does not track data bytes, so these are
+ * what a change between stamp (controller) and verify (cube) can
+ * corrupt.
  */
 std::uint32_t packetCrc(const Packet &pkt, std::uint64_t header_bits);
 

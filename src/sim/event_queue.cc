@@ -8,6 +8,42 @@
 namespace hmcsim
 {
 
+inline std::uint64_t
+EventQueue::store(Event &&ev)
+{
+    if (freeSlots.empty()) {
+        const std::uint64_t slot = slab.size();
+        // Growth path only: a new slot must fit its field.
+        // lint:allow(hot-check)
+        HMCSIM_CHECK(slot <= slotMask, "more than %llu events pending",
+                     static_cast<unsigned long long>(slotMask));
+        slab.push_back(std::move(ev));
+        return slot;
+    }
+    const std::uint64_t slot = freeSlots.back();
+    freeSlots.pop_back();
+    slab[slot] = std::move(ev);
+    return slot;
+}
+
+inline void
+EventQueue::insert(std::uint32_t run, const Key &key)
+{
+    if (run == runs.size()) {
+        const std::uint32_t chunk = takeChunk() * chunkKeys;
+        runs.push_back({chunk, chunk, 0});
+        tails.push_back(key.when);
+    } else {
+        tails[run] = key.when;
+    }
+    if (runs[run].size == 0) {
+        heads.push_back({});
+        siftHeadUp(heads.size() - 1, {key, run});
+    }
+    push(runs[run], key);
+    ++numQueued;
+}
+
 void
 EventQueue::schedule(Tick when, Event ev)
 {
@@ -23,38 +59,46 @@ EventQueue::schedule(Tick when, Event ev)
     HMCSIM_CHECK(nextSeq >> (64 - slotBits) == 0,
                  "event sequence space exhausted (%llu schedules)",
                  static_cast<unsigned long long>(nextSeq));
-    std::uint64_t slot;
-    if (freeSlots.empty()) {
-        slot = slab.size();
-        // Growth path only: a new slot must fit its field.
-        // lint:allow(hot-check)
-        HMCSIM_CHECK(slot <= slotMask, "more than %llu events pending",
-                     static_cast<unsigned long long>(slotMask));
-        slab.push_back(std::move(ev));
-    } else {
-        slot = freeSlots.back();
-        freeSlots.pop_back();
-        slab[slot] = std::move(ev);
-    }
-    const Key key{when, nextSeq++ << slotBits | slot};
+    const Key key{when, nextSeq++ << slotBits | store(std::move(ev))};
     if (when == _now) {
         nowLane.push_back(key);
         return;
     }
-    const std::uint32_t run = firstRunFor(when);
-    if (run == runs.size()) {
-        const std::uint32_t chunk = takeChunk() * chunkKeys;
-        runs.push_back({chunk, chunk, 0});
-        tails.push_back(when);
-    } else {
-        tails[run] = when;
-    }
-    if (runs[run].size == 0) {
-        heads.push_back({});
-        siftHeadUp(heads.size() - 1, {key, run});
-    }
-    push(runs[run], key);
-    ++numQueued;
+    insert(firstRunFor(when), key);
+}
+
+void
+EventQueue::scheduleReserved(Tick when, std::uint64_t seq, Event ev)
+{
+    // Same release checks as schedule(): a passed key would fire out
+    // of order, and an unreserved seq could collide with another.
+    // lint:allow(hot-check)
+    HMCSIM_CHECK(!hasPassed(when, seq) && seq < nextSeq &&
+                     seq >> (64 - slotBits) == 0,
+                 "reserved event key (when=%llu seq=%llu) has passed or "
+                 "was never reserved (now=%llu)",
+                 static_cast<unsigned long long>(when),
+                 static_cast<unsigned long long>(seq),
+                 static_cast<unsigned long long>(_now));
+    HMCSIM_DCHECK(when > _now || nowHead == nowLane.size() ||
+                      nowLane[nowHead].order >> slotBits > seq,
+                  "reserved key at tick %llu is newer than a now-lane "
+                  "entry",
+                  static_cast<unsigned long long>(when));
+    const Key key{when, seq << slotBits | store(std::move(ev))};
+    // Never the now lane, even at the current tick: its entries were
+    // scheduled after the reservation, so the key fires ahead of
+    // them, and laneFirst() defers to a run head at now(). The key
+    // can be older than a run's tail of the same tick, so runs are
+    // matched by their full tail key: the first run that is empty or
+    // whose tail fires before the key. Every run ahead of it then has
+    // a tail tick >= when, and every run behind it a tail tick <= the
+    // old one, so the tails stay non-increasing for firstRunFor().
+    std::uint32_t run = 0;
+    while (run < runs.size() && runs[run].size != 0 &&
+           !firesBefore(pool[runs[run].tail - 1], key))
+        ++run;
+    insert(run, key);
 }
 
 inline void
@@ -188,6 +232,7 @@ EventQueue::executeTop()
                   static_cast<unsigned long long>(top.when),
                   static_cast<unsigned long long>(_now));
     _now = top.when;
+    firingSeq = top.order >> slotBits;
     check_detail::setCurrentTick(_now);
     ++numExecuted;
     ev(receivers.get().data());
@@ -212,8 +257,12 @@ EventQueue::runUntil(Tick limit)
     while (laneFirst() ? _now <= limit
                        : !heads.empty() && heads.front().key.when <= limit)
         executeTop();
-    if (_now < limit)
+    if (_now <= limit) {
+        // Every pending key at or before the limit has fired, so a
+        // reserved one there has passed too.
         _now = limit;
+        firingSeq = ~std::uint64_t{0};
+    }
     runCheckers();
     return _now;
 }
@@ -268,6 +317,7 @@ EventQueue::reset()
     slab.clear();
     freeSlots.clear();
     _now = 0;
+    firingSeq = 0;
     nextSeq = 0;
     numExecuted = 0;
     eventsSinceCheck = 0;

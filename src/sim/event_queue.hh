@@ -15,8 +15,11 @@
  * the tail: the paper's high-load round trips keep ~1.2k events pending
  * in about a dozen runs (docs/performance.md). A schedule appends to
  * the first run whose tail it does not precede; a pop takes the
- * earliest run head from a small heap of heads. The runs' keys share
- * one pool of 256-byte chunks, so memory follows the pending count.
+ * earliest run head from a small heap of heads. A component may also
+ * reserve a seq and schedule at it later (reserveSeq,
+ * scheduleReserved): the event then fires where a schedule made at
+ * reserve time would have. The runs' keys share one pool of 256-byte
+ * chunks, so memory follows the pending count.
  * The Events themselves sit in a slab of reusable slots, so the runs
  * move keys, never 64-byte callables. Events are hmcsim::Event (sim/event.hh): fixed-size,
  * inline-capture callables, so once the runs, lane and slab reach
@@ -78,6 +81,34 @@ class EventQueue // lint:snapshot-state
     void scheduleIn(Tick delta, Event ev)
     {
         schedule(_now + delta, std::move(ev));
+    }
+
+    /**
+     * Take the seq the next schedule would receive without scheduling
+     * anything. A component that may or may not need an event at a
+     * later tick reserves its place: scheduleReserved() at the same
+     * tick then fires it exactly where a schedule made now would
+     * have, and if it never schedules, nothing fires.
+     */
+    std::uint64_t reserveSeq() { return nextSeq++; }
+
+    /**
+     * Schedule @p ev at the key (@p when, @p seq), @p seq from
+     * reserveSeq(). The key must not have passed (hasPassed), and
+     * @p when must be later than the tick the seq was reserved at, so
+     * the key precedes every now-lane entry of its tick.
+     */
+    void scheduleReserved(Tick when, std::uint64_t seq, Event ev);
+
+    /**
+     * True when the key (@p when, @p seq) fires before the event now
+     * firing, so an event at it would already have run. After
+     * runUntil(limit), every key at or before limit has passed.
+     */
+    bool
+    hasPassed(Tick when, std::uint64_t seq) const
+    {
+        return when < _now || (when == _now && seq < firingSeq);
     }
 
     /**
@@ -172,6 +203,15 @@ class EventQueue // lint:snapshot-state
         std::uint32_t run;
     };
 
+    /** The slab slot @p ev now occupies. */
+    inline std::uint64_t store(Event &&ev);
+
+    /** Append @p key to run @p run, opening a new run when @p run is
+     *  runs.size(), and keep the tails and heads in step. Forced
+     *  inline: with two callers GCC would call it from schedule(). */
+    [[gnu::always_inline]] inline void insert(std::uint32_t run,
+                                              const Key &key);
+
     /** Append @p key to @p run, taking a chunk when its last is full.
      *  Inline, like pop(): the schedule and fire paths. */
     inline void push(Run &run, const Key &key);
@@ -243,6 +283,9 @@ class EventQueue // lint:snapshot-state
     std::vector<std::uint32_t> freeSlots;
 
     Tick _now = 0;
+    /** Seq of the event now firing (or last fired); all ones once
+     *  runUntil has passed every key at _now. */
+    std::uint64_t firingSeq = 0;
     std::uint64_t nextSeq = 0;
     std::uint64_t numExecuted = 0;
     /** The components receiver events name, by ReceiverId. */

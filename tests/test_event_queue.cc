@@ -4,8 +4,8 @@
  * (docs/performance.md): same-tick FIFO for near and far schedules,
  * runUntil boundary semantics, reset, checker drain-point cadence,
  * far-future ordering, queue copies, the sorted-run structure
- * against a (when, seq) sort, Event small-buffer semantics,
- * packet-pool reuse, and an allocation-counting guard over the
+ * against a (when, seq) sort, reserved keys, Event small-buffer
+ * semantics, packet-pool reuse, and an allocation-counting guard over the
  * steady-state scheduling path.
  */
 
@@ -15,6 +15,7 @@
 #include <functional>
 #include <memory>
 #include <numeric>
+#include <utility>
 #include <vector>
 
 #include "counting_allocator.hh"
@@ -411,6 +412,137 @@ TEST(EventQueue, ClonedQueueWithSeveralRunsFiresTheSameSequence)
     // The 7 fired before the fork are the earliest of all 34 keys.
     EXPECT_EQ(srcLog, firingOrder(when));
     EXPECT_EQ(dstLog, std::vector<int>(srcLog.begin() + 7, srcLog.end()));
+}
+
+// ---------------------------------------------------------------------
+// Reserved keys: reserveSeq() takes a seq now, scheduleReserved() uses
+// it later, and the event fires where a schedule made at reserve time
+// would have.
+// ---------------------------------------------------------------------
+
+TEST(EventQueue, ReservedKeysFireInWhenSeqOrder)
+{
+    // Ids in seq order over 64 ticks. Every third id only reserves its
+    // key; the reserved ones are scheduled after every later id, in
+    // reverse, so each is older than the tails of the runs that hold
+    // its tick. Half are scheduled after runUntil has passed some.
+    EventQueue q;
+    std::vector<int> order;
+    const ReceiverId log = q.addReceiver(&order);
+    std::vector<Tick> when;
+    std::vector<std::pair<int, std::uint64_t>> reserved;
+    std::uint64_t x = 7;
+    for (int i = 0; i < 3000; ++i) {
+        x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+        when.push_back(1 + (x >> 58));
+        if (i % 3 == 0)
+            reserved.emplace_back(i, q.reserveSeq());
+        else
+            q.schedule(when.back(), LogFire{log, i});
+    }
+    const Tick mid = 32;
+    for (std::size_t k = reserved.size(); k-- > reserved.size() / 2;) {
+        const auto [id, seq] = reserved[k];
+        q.scheduleReserved(when[id], seq, LogFire{log, id});
+    }
+    q.runUntil(mid);
+    std::vector<int> dropped;
+    for (std::size_t k = reserved.size() / 2; k-- > 0;) {
+        const auto [id, seq] = reserved[k];
+        EXPECT_EQ(q.hasPassed(when[id], seq), when[id] <= mid) << id;
+        if (q.hasPassed(when[id], seq))
+            dropped.push_back(id);
+        else
+            q.scheduleReserved(when[id], seq, LogFire{log, id});
+    }
+    q.runToCompletion();
+    std::vector<int> expected = firingOrder(when);
+    expected.erase(std::remove_if(expected.begin(), expected.end(),
+                                  [&dropped](int id) {
+                                      return std::find(dropped.begin(),
+                                                       dropped.end(),
+                                                       id) != dropped.end();
+                                  }),
+                   expected.end());
+    ASSERT_FALSE(dropped.empty());
+    EXPECT_EQ(order, expected);
+}
+
+TEST(EventQueue, ReservedKeyAtTheCurrentTickFiresAheadOfTheNowLane)
+{
+    EventQueue q;
+    std::vector<int> order;
+    const ReceiverId log = q.addReceiver(&order);
+    q.schedule(20, LogFire{log, 0});
+    const std::uint64_t seq = q.reserveSeq();
+    q.schedule(20, LogFire{log, 2});
+    ASSERT_TRUE(q.step());
+    ASSERT_EQ(q.now(), 20u);
+    // Tick 20 now holds id 2 in a run and id 3 in the now lane; the
+    // reserved key is older than both.
+    q.schedule(20, LogFire{log, 3});
+    ASSERT_FALSE(q.hasPassed(20, seq));
+    q.scheduleReserved(20, seq, LogFire{log, 1});
+    q.runToCompletion();
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
+}
+
+TEST(EventQueue, RunUntilPassesEveryKeyUpToItsLimit)
+{
+    EventQueue q;
+    const std::uint64_t idle = q.reserveSeq();
+    EXPECT_FALSE(q.hasPassed(0, idle)); // nothing has fired yet
+    q.runUntil(40);
+    EXPECT_TRUE(q.hasPassed(40, idle));
+    EXPECT_FALSE(q.hasPassed(50, idle));
+    // Time moves to the limit without firing anything.
+    q.runUntil(50);
+    EXPECT_EQ(q.executed(), 0u);
+    EXPECT_TRUE(q.hasPassed(50, idle));
+
+    // A key newer than the last event fired at the limit has passed
+    // once runUntil returns, not while the event fires.
+    q.schedule(60, [] {});
+    const std::uint64_t late = q.reserveSeq();
+    ASSERT_TRUE(q.step());
+    EXPECT_FALSE(q.hasPassed(60, late));
+    q.runUntil(60);
+    EXPECT_TRUE(q.hasPassed(60, late));
+    EXPECT_FALSE(q.hasPassed(61, late));
+}
+
+TEST(EventQueueDeathTest, PassedReservedKeyIsRefused)
+{
+    EventQueue q;
+    const std::uint64_t seq = q.reserveSeq();
+    q.runUntil(50);
+    EXPECT_DEATH(q.scheduleReserved(50, seq, [] {}), "has passed");
+}
+
+TEST(EventQueue, ClonedQueueHoldingAReservedKeyFiresTheSameSequence)
+{
+    std::vector<int> srcLog;
+    std::vector<int> dstLog;
+    EventQueue src;
+    const ReceiverId log = src.addReceiver(&srcLog);
+    src.schedule(100, LogFire{log, 0});
+    const std::uint64_t seq = src.reserveSeq();
+    src.schedule(300, LogFire{log, 2});
+    src.schedule(200, LogFire{log, 3});
+    src.schedule(300, LogFire{log, 4});
+    src.runUntil(150);
+
+    EventQueue dst;
+    ASSERT_EQ(dst.addReceiver(&dstLog), log);
+    dst = src;
+    for (const Tick t : {Tick{150}, Tick{300}})
+        EXPECT_EQ(dst.hasPassed(t, seq), src.hasPassed(t, seq));
+    src.scheduleReserved(300, seq, LogFire{log, 1});
+    dst.scheduleReserved(300, seq, LogFire{log, 1});
+    src.runToCompletion();
+    dst.runToCompletion();
+    EXPECT_EQ(srcLog, (std::vector<int>{0, 3, 1, 2, 4}));
+    EXPECT_EQ(dstLog, (std::vector<int>{3, 1, 2, 4}));
 }
 
 TEST(SboEvent, NonTrivialCapturesDestructOnce)

@@ -140,6 +140,27 @@ TEST(Fields, CrcDistinguishesPackets)
     EXPECT_NE(packetCrc(a, ha), packetCrc(b, hb));
     // Same packet -> same CRC.
     EXPECT_EQ(packetCrc(a, ha), packetCrc(a, ha));
+
+    // Only the address differs, inside and beyond the header's 34
+    // address bits.
+    for (const Addr addr : {Addr{0x1040}, Addr{0x1000} | Addr{1} << 40}) {
+        Packet c = a;
+        c.addr = addr;
+        EXPECT_NE(packetCrc(a, ha),
+                  packetCrc(c, encodeRequestHeader(makeRequestHeader(c))));
+    }
+
+    // Two writes that differ only in payload size, which reaches the
+    // CRC through the header's length field (a read's length is one
+    // flit whatever it asks for).
+    Packet w128 = a;
+    w128.cmd = Command::Write;
+    Packet w64 = w128;
+    w64.payload = 64;
+    const std::uint64_t h128 = encodeRequestHeader(makeRequestHeader(w128));
+    const std::uint64_t h64 = encodeRequestHeader(makeRequestHeader(w64));
+    ASSERT_NE(decodeRequestHeader(h128).lng, decodeRequestHeader(h64).lng);
+    EXPECT_NE(packetCrc(w128, h128), packetCrc(w64, h64));
 }
 
 // ---- Token flow control ----------------------------------------------------

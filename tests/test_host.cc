@@ -137,6 +137,55 @@ TEST(Ac510, ConservationNoResponseLeaks)
     EXPECT_EQ(module.device().stats().requests, agg.readsIssued);
 }
 
+/** Issue one read through a one-port module, let @p corrupt rewrite
+ *  the pooled request after the controller stamped its header and
+ *  CRC, and deliver it to the cube. */
+template <typename Corrupt>
+void
+deliverCorruptedRequest(Corrupt corrupt)
+{
+    Ac510Config sys;
+    sys.numPorts = 1;
+    sys.port.requestBudget = 1;
+    Ac510Module module(sys);
+    module.start();
+    ASSERT_TRUE(module.queue().step()); // the port's first issue
+    ASSERT_EQ(module.controller().stats().requestsSubmitted, 1u);
+    // The request is on the TX wire in the pool's first slot. A write
+    // through the pool stands for a simulator bug that changes a
+    // packet between stamp and verify.
+    Packet &wire =
+        const_cast<PacketPool &>(module.controller().packetPool())[0];
+    ASSERT_NE(wire.headerBits, 0u);
+    corrupt(wire);
+    module.runToCompletion();
+}
+
+TEST(CubeVerifyDeathTest, ChangedIdFailsAtTheCube)
+{
+    EXPECT_DEATH(deliverCorruptedRequest([](Packet &p) { p.id ^= 1; }),
+                 "failed CRC|header mismatch");
+}
+
+TEST(CubeVerifyDeathTest, ChangedAddressFailsAtTheCube)
+{
+    // Above the header's 34 address bits: only the CRC sees it.
+    EXPECT_DEATH(deliverCorruptedRequest(
+                     [](Packet &p) { p.addr ^= Addr{1} << 40; }),
+                 "failed CRC|header mismatch");
+    EXPECT_DEATH(deliverCorruptedRequest(
+                     [](Packet &p) { p.addr ^= 0x40; }),
+                 "failed CRC|header mismatch");
+}
+
+TEST(CubeVerifyDeathTest, ChangedHeaderFailsAtTheCube)
+{
+    // A tag bit: the cube's header decode does not check the tag.
+    EXPECT_DEATH(deliverCorruptedRequest(
+                     [](Packet &p) { p.headerBits ^= 1ULL << 12; }),
+                 "failed CRC|header mismatch");
+}
+
 TEST(Experiment, MeasurementFieldsConsistent)
 {
     ExperimentConfig cfg;

@@ -44,14 +44,13 @@ smallConfig(BackendKind kind, RequestMix mix = RequestMix::ReadModifyWrite)
     return cfg;
 }
 
-/** Cold and warm-start runs of @p cfg must agree exactly. */
+/** A cold run of @p cfg and a run from @p warm must agree exactly. */
 void
-expectForkMatchesCold(const ExperimentConfig &cfg)
+expectForkMatchesCold(const WarmStart &warm, const ExperimentConfig &cfg)
 {
     RunArtifacts cold_art;
     const MeasurementResult cold = runExperiment(cfg, {}, &cold_art);
 
-    const WarmStart warm = prepareWarmStart(cfg);
     RunArtifacts fork_art;
     const MeasurementResult forked =
         runExperimentFrom(warm, cfg, &fork_art);
@@ -62,6 +61,13 @@ expectForkMatchesCold(const ExperimentConfig &cfg)
     EXPECT_EQ(cold.readLatencyNs.count(), forked.readLatencyNs.count());
     EXPECT_EQ(cold.readLatencyNs.mean(), forked.readLatencyNs.mean());
     EXPECT_EQ(cold.readLatencyP99Ns, forked.readLatencyP99Ns);
+}
+
+/** Cold and warm-start runs of @p cfg must agree exactly. */
+void
+expectForkMatchesCold(const ExperimentConfig &cfg)
+{
+    expectForkMatchesCold(prepareWarmStart(cfg), cfg);
 }
 
 TEST(SnapshotFork, HmcDramForkMatchesColdStart)
@@ -78,6 +84,25 @@ TEST(SnapshotFork, NvmForkMatchesColdStart)
 {
     expectForkMatchesCold(
         smallConfig(BackendKind::Nvm, RequestMix::WriteOnly));
+}
+
+TEST(SnapshotFork, ForkHoldingReservedIssueAttemptsMatchesColdStart)
+{
+    // A saturated warm-up ends with ports out of tags or credits,
+    // holding the queue key of their next attempt instead of an event
+    // (GupsPort::issueOne). The fork must carry those keys.
+    for (const auto &[kind, mix] :
+         {std::pair{BackendKind::HmcDram, RequestMix::ReadModifyWrite},
+          std::pair{BackendKind::Ddr4, RequestMix::ReadOnly},
+          std::pair{BackendKind::Nvm, RequestMix::WriteOnly}}) {
+        const ExperimentConfig cfg = smallConfig(kind, mix);
+        const WarmStart warm = prepareWarmStart(cfg);
+        unsigned reserving = 0;
+        for (unsigned p = 0; p < warm.module->numPorts(); ++p)
+            reserving += warm.module->port(p).issueReserved();
+        EXPECT_GT(reserving, 0u) << static_cast<int>(kind);
+        expectForkMatchesCold(warm, cfg);
+    }
 }
 
 TEST(SnapshotFork, ForkOutlivesItsSource)
